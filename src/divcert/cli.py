@@ -162,6 +162,8 @@ def _load_checkpoint(path: str, fingerprint: str) -> list[dict]:
         return []
     header = json.loads(lines[0])
     if header.get("engine_version") != __version__:
+        print("error: checkpoint written by a different engine version",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     if header.get("fingerprint") != fingerprint:
         print("error: checkpoint belongs to a different command", file=sys.stderr)
@@ -254,10 +256,8 @@ def _cell(value) -> str:
 def _cmd_fab(args) -> int:
     params = {"a": args.a, "b": args.b, "n_cap": args.n_cap}
     cache = _FabCache(args.cache) if args.cache else None
-    cached = cache.get(args.a, args.b) if cache else None
-    if cached is not None:
-        record = cached
-    else:
+    record = cache.get(params) if cache else None
+    if record is None:
         result = divisibility.f_ab(args.a, args.b, n_cap=args.n_cap)
         info = divisibility.fab_bound(args.a, args.b)
         record = {"a": args.a, "b": args.b, "verdict": result.verdict,
@@ -265,16 +265,19 @@ def _cmd_fab(args) -> int:
                   "bound": None if info is None else
                            {"p": info.p, "bound": info.bound, "s": info.s}}
         if cache:
-            cache.put(record)
+            cache.put(params, record)
     _emit(args, "fab", params, [record], {"verdict": record["verdict"]})
     return EXIT_OK if record["verdict"] in ("found", "proven_zero") else EXIT_INCONCLUSIVE
 
 
 class _FabCache:
-    """Append-only (a, b) -> result log with a compaction pass.
+    """Append-only log of fab results keyed on all of (a, b, n_cap).
 
-    Versioned header; refuses caches from another engine version.  Corrupt
-    tail lines are dropped with a warning on load.
+    Each line after the versioned header is {"key": params, "record": record},
+    so an entry answers only the exact parameters it was computed for.
+    Refuses caches from another engine version.  A tail line that is not
+    such an entry (a torn write, or a result stored without its n_cap) is
+    dropped with a warning on load.
     """
 
     def __init__(self, path: str):
@@ -298,27 +301,22 @@ class _FabCache:
         good = [lines[0]]
         for line in lines[1:]:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
+                entry = json.loads(line)
+                self.entries[_record_dumps(entry["key"])] = entry["record"]
+            except (json.JSONDecodeError, KeyError, TypeError):
                 print("warning: dropping corrupt cache tail", file=sys.stderr)
                 break
-            self.entries[(rec["a"], rec["b"])] = rec
             good.append(line)
         if len(good) != len(lines):
             _atomic_write(self.path, "\n".join(good) + "\n")
 
-    def get(self, a: int, b: int) -> dict | None:
-        return self.entries.get((a, b))
+    def get(self, params: dict) -> dict | None:
+        return self.entries.get(_record_dumps(params))
 
-    def put(self, record: dict) -> None:
-        self.entries[(record["a"], record["b"])] = record
+    def put(self, params: dict, record: dict) -> None:
+        self.entries[_record_dumps(params)] = record
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_record_dumps(record) + "\n")
-
-    def compact(self) -> None:
-        lines = [_record_dumps({"engine_version": __version__, "kind": "fab-cache"})]
-        lines += [_record_dumps(rec) for _, rec in sorted(self.entries.items())]
-        _atomic_write(self.path, "\n".join(lines) + "\n")
+            fh.write(_record_dumps({"key": params, "record": record}) + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -532,9 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget_degree:
+    if args.budget_degree is not None:
         os.environ["DIVCERT_BUDGET_DEGREE"] = str(args.budget_degree)
-    if args.budget_prime:
+    if args.budget_prime is not None:
         os.environ["DIVCERT_BUDGET_PRIME"] = str(args.budget_prime)
     start = time.monotonic()
     try:

@@ -34,6 +34,22 @@ BINOM_EXACT_BUDGET_DEFAULT = 100_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# (bound, k): the first k bases of _MR_BASES decide every n < bound.  Each
+# bound is the least strong pseudoprime to those k bases (Pomerance, Selfridge
+# & Wagstaff 1980; Jaeschke 1993; Sorenson & Webster 2015).
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_PROVEN_LIMIT, 13),
+)
+
 
 def _sieve_budget() -> int:
     return int(os.environ.get("DIVCERT_BUDGET_PRIME", SIEVE_BUDGET_DEFAULT))
@@ -74,12 +90,17 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
+    """Strong-probable-prime test of odd n < _MR_PROVEN_LIMIT on the
+    shortest prefix of _MR_BASES proven deterministic below n."""
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            break
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         if a % n == 0:
             continue
         x = pow(a, d, n)
@@ -164,6 +185,18 @@ def factorize(n: int, ceiling: int = FACTOR_CEILING_DEFAULT) -> Factorization:
     return Factorization(tuple(out), value)
 
 
+def totients_up_to(n: int) -> list[int]:
+    """[phi(0), phi(1), ..., phi(n)] by a sieve over primes; phi(0) = 0."""
+    if n < 0:
+        raise ValueError("totients_up_to requires n >= 0")
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # untouched by any smaller prime, so p is prime
+            for multiple in range(p, n + 1, p):
+                phi[multiple] -= phi[multiple] // p
+    return phi
+
+
 def totient(n: int) -> int:
     """Euler's totient, from the prime factorization of n."""
     if n < 1:
@@ -215,6 +248,11 @@ def legendre_valuation_factorial(n: int, p: int) -> int:
     """v_p(n!) by Legendre's floor sum, cross-checked via the digit-sum form."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _legendre_sum(n, p)
+
+
+def _legendre_sum(n: int, p: int) -> int:
+    """v_p(n!) for a p the caller has proven prime."""
     v = 0
     q = n // p
     while q:
@@ -240,9 +278,9 @@ def binom_valuation(m: int, k: int, p: int) -> ValuationCertificate:
     """p-adic valuation of binom(m, k) with its Kummer carry-count cross-check."""
     if k < 0 or k > m:
         raise ValueError("require 0 <= k <= m")
-    v = (legendre_valuation_factorial(m, p)
-         - legendre_valuation_factorial(k, p)
-         - legendre_valuation_factorial(m - k, p))
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    v = _legendre_sum(m, p) - _legendre_sum(k, p) - _legendre_sum(m - k, p)
     carries = _carry_count(k, m - k, p)
     assert v == carries, "Legendre and Kummer routes disagree"
     return ValuationCertificate(p, m, k, v, carries)

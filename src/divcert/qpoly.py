@@ -226,7 +226,8 @@ class CycloFactorization:
     def degree(self) -> int:
         """Degree of the represented expression (may be meaningful only when
         it is a polynomial; in general the formal degree sum)."""
-        return sum(e * core.totient(d) for d, e in self.exponents.items())
+        phi = core.totients_up_to(max(self.exponents, default=0))
+        return sum(e * phi[d] for d, e in self.exponents.items())
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,38 @@ class TestFab:
         for line in lines:
             json.loads(line)
 
+    def test_cache_capped_entry_does_not_answer_uncapped(self, tmp_path, capsys):
+        cache = str(tmp_path / "fab.cache")
+        code, out, _ = run_cli(
+            ["fab", "7", "36", "--n-cap", "10", "--cache", cache], capsys)
+        assert code == 2
+        assert parse_jsonl(out)[0]["verdict"] == "inconclusive"
+        code, out, _ = run_cli(["fab", "7", "36", "--cache", cache], capsys)
+        assert code == 0
+        assert parse_jsonl(out)[0]["n"] == 279
+
+    def test_cache_uncapped_entry_does_not_answer_capped(self, tmp_path, capsys):
+        cache = str(tmp_path / "fab.cache")
+        code, _, _ = run_cli(["fab", "7", "36", "--cache", cache], capsys)
+        assert code == 0
+        _, uncached, _ = run_cli(["fab", "7", "36", "--n-cap", "10"], capsys)
+        code, out, _ = run_cli(
+            ["fab", "7", "36", "--n-cap", "10", "--cache", cache], capsys)
+        assert code == 2
+        assert out == uncached
+
+    def test_cache_entry_without_key_dropped(self, tmp_path, capsys):
+        # A result line that does not record the n_cap it answers.
+        cache = tmp_path / "fab.cache"
+        cache.write_text(
+            json.dumps({"engine_version": cli.__version__, "kind": "fab-cache"})
+            + '\n{"a":7,"b":36,"bound":{"bound":2736,"p":7,"s":6},"n":null,'
+            '"n_max":10,"verdict":"inconclusive"}\n')
+        code, out, err = run_cli(["fab", "7", "36", "--cache", str(cache)], capsys)
+        assert code == 0
+        assert parse_jsonl(out)[0]["n"] == 279
+        assert "corrupt" in err
+
     def test_cache_version_mismatch(self, tmp_path, capsys):
         cache = tmp_path / "fab.cache"
         cache.write_text('{"engine_version": "0.0.0", "kind": "fab-cache"}\n')
@@ -97,6 +129,17 @@ class TestVerify:
             ["verify", "thm4", "--n-max", "1", "--expand"], capsys)
         assert code == 3
         assert parse_jsonl(out)[-1]["partial"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--budget-degree", "0", "verify", "thm4", "--n-max", "1", "--expand"],
+        ["--budget-prime", "0", "theta", "10"],
+    ])
+    def test_zero_budget_honoured(self, argv, capsys, monkeypatch):
+        # main() exports the budget to the environment; monkeypatch restores it.
+        monkeypatch.setenv("DIVCERT_BUDGET_DEGREE", "100000")
+        monkeypatch.setenv("DIVCERT_BUDGET_PRIME", "100000000")
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 3
 
     def test_table_output(self, capsys):
         code, out, _ = run_cli(
@@ -174,6 +217,19 @@ class TestCheckpoint:
         with pytest.raises(SystemExit) as exc:
             run_cli(other, capsys)
         assert exc.value.code == 64
+
+    def test_engine_version_mismatch_reported(self, tmp_path, capsys):
+        ckpt = tmp_path / "run.ckpt"
+        run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)
+        lines = ckpt.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["engine_version"] = "0.0.0"
+        ckpt.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert "error: checkpoint written by a different engine version" in err
 
 
 class TestConj:

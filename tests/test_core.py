@@ -7,6 +7,40 @@ from divcert import core
 from divcert.errors import BudgetExceededError
 
 
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (n, k, a prime factor of n, the first prime above n): n is the least strong
+# pseudoprime to the first k primes, i.e. the bound below which those k bases
+# decide primality.
+BOUNDARY_PSEUDOPRIMES = (
+    (2_047, 1, 23, 2_053),
+    (1_373_653, 2, 829, 1_373_677),
+    (25_326_001, 3, 2_251, 25_326_023),
+    (3_215_031_751, 4, 151, 3_215_031_767),
+    (2_152_302_898_747, 5, 6_763, 2_152_302_898_771),
+    (3_474_749_660_383, 6, 1_303, 3_474_749_660_401),
+    (341_550_071_728_321, 7, 10_670_053, 341_550_071_728_361),
+    (3_825_123_056_546_413_051, 9, 149_491, 3_825_123_056_546_413_057),
+    (318_665_857_834_031_151_167_461, 12, 399_165_290_221,
+     318_665_857_834_031_151_167_483),
+)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Does odd n pass the Miller-Rabin round with base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 class TestGcd:
     def test_small(self):
         assert core.gcd(12, 8) == 4
@@ -48,6 +82,14 @@ class TestTotient:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             core.totient(0)
+
+    def test_sieve_matches_totient(self):
+        phi = core.totients_up_to(5000)
+        assert len(phi) == 5001 and phi[0] == 0
+        assert all(phi[n] == core.totient(n) for n in range(1, 5001))
+        assert core.totients_up_to(0) == [0]
+        with pytest.raises(ValueError):
+            core.totients_up_to(-1)
 
     @given(st.integers(1, 3000))
     def test_brute_force(self, n):
@@ -107,9 +149,23 @@ class TestPrimes:
         assert all(n % d for n in [3761] for d in range(2, 62))
 
     def test_is_prime_matches_sieve(self):
-        flags = set(core.primes_up_to(2000))
-        for n in range(2001):
+        flags = set(core.primes_up_to(10**6))
+        for n in range(10**6 + 1):
             assert core.is_prime(n) == (n in flags)
+
+    def test_tier_boundary_pseudoprimes_rejected(self):
+        # Each is the least strong pseudoprime to the first k prime bases, so
+        # testing it with only those bases would call it prime.
+        for n, k, factor, _ in BOUNDARY_PSEUDOPRIMES:
+            assert 1 < factor < n and n % factor == 0
+            assert all(_strong_probable_prime(n, a) for a in FIRST_PRIMES[:k])
+            assert not core._miller_rabin(n)
+            assert not core.is_prime(n)
+
+    def test_first_prime_above_each_boundary_accepted(self):
+        for n, _, _, next_prime in BOUNDARY_PSEUDOPRIMES:
+            assert core.is_prime(next_prime)
+            assert not any(core.is_prime(x) for x in range(n + 1, next_prime))
 
 
 class TestFactorize:
@@ -162,6 +218,24 @@ class TestBinomValuation:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             core.binom_valuation(3, 5, 2)
+
+    def test_rejects_composite_p(self):
+        for p in (1, 4, 6, 2_047, 1_373_653):
+            with pytest.raises(ValueError):
+                core.binom_valuation(10, 5, p)
+
+    def test_one_primality_proof_per_certificate(self, monkeypatch):
+        calls = []
+        real = core.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(core, "is_prime", counting)
+        cert = core.binom_valuation(43 * 279, 7 * 279, 5)
+        assert calls == [5]
+        assert cert.valuation == cert.carry_count
 
     def test_against_exact_binomial(self):
         for p in (2, 3, 5, 7, 11, 13):

@@ -118,6 +118,13 @@ class TestQbinomFactorization:
                 assert qpoly.is_polynomial(f)
                 assert f.degree() == k * (m - k)
 
+    @given(st.dictionaries(st.integers(1, 600),
+                           st.integers(-6, 6).filter(bool), max_size=12))
+    def test_degree_sums_totients(self, exponents):
+        from divcert import core
+        f = qpoly.CycloFactorization(exponents)
+        assert f.degree() == sum(e * core.totient(d) for d, e in exponents.items())
+
 
 class TestQuotientExpr:
     def test_balanced_required(self):
