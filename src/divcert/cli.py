@@ -13,6 +13,7 @@ exhausted search, 3 partial results due to a budget, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 from . import __version__, core, divisibility, qdivisibility, qpoly
 from .errors import BudgetExceededError, SearchExhaustedError
@@ -37,8 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Encoding is stateless per call, so one encoder serves every record.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _record_dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def _fingerprint(command: str, parameters: dict) -> str:
@@ -140,7 +146,7 @@ def _w_c330(point):
 # Grid running, checkpointing, reporting.
 
 def _parallel_width(args) -> int:
-    if getattr(args, "par", None):
+    if args.par:
         return args.par
     return int(os.environ.get("DIVCERT_PAR", "1"))
 
@@ -155,19 +161,33 @@ def _map_ordered(worker, points, width):
         yield from ex.map(worker, points, chunksize=chunk)
 
 
+def _refuse(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _load_header(line: str, kind: str) -> dict:
+    """The header of a checkpoint or cache; refuses a malformed or
+    foreign one."""
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict):
+        _refuse(f"{kind} header is not a JSON object")
+    if header.get("engine_version") != __version__:
+        _refuse(f"{kind} written by a different engine version")
+    return header
+
+
 def _load_checkpoint(path: str, fingerprint: str) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         return []
-    header = json.loads(lines[0])
-    if header.get("engine_version") != __version__:
-        print("error: checkpoint written by a different engine version",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    header = _load_header(lines[0], "checkpoint")
     if header.get("fingerprint") != fingerprint:
-        print("error: checkpoint belongs to a different command", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _refuse("checkpoint belongs to a different command")
     records = []
     corrupt_from = None
     for i, line in enumerate(lines[1:], start=1):
@@ -190,11 +210,24 @@ def _atomic_write(path: str, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _run_grid(args, command: str, parameters: dict, points: list, worker) -> list[dict]:
-    """Run a grid, optionally resuming from and appending to a checkpoint."""
+@dataclass
+class _Grid:
+    """The records of a grid run, each with its JSON line."""
+
+    records: list[dict]
+    lines: list[str]
+    partial: bool  # a budget ran out before the last point
+
+
+def _run_grid(args, command: str, parameters: dict, points: list, worker) -> _Grid:
+    """Run a grid, optionally resuming from and appending to a checkpoint.
+
+    A budget running out ends the grid early; the records finished before
+    it are kept (and checkpointed) and the grid is marked partial.
+    """
     fingerprint = _fingerprint(command, parameters)
     records: list[dict] = []
-    checkpoint = getattr(args, "checkpoint", None)
+    checkpoint = args.checkpoint
     if checkpoint and os.path.exists(checkpoint):
         records = _load_checkpoint(checkpoint, fingerprint)
     fh = None
@@ -205,30 +238,50 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker) -> lis
             fh.write(_record_dumps({"engine_version": __version__,
                                     "fingerprint": fingerprint}) + "\n")
             fh.flush()
+    lines = [_record_dumps(r) for r in records]
+    partial = False
     try:
         for rec in _map_ordered(worker, points[len(records):], _parallel_width(args)):
+            line = _record_dumps(rec)
             if fh:
-                fh.write(_record_dumps(rec) + "\n")
+                fh.write(line + "\n")
                 fh.flush()
             records.append(rec)
+            lines.append(line)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        partial = True
     finally:
         if fh:
             fh.close()
-    return records
+    return _Grid(records, lines, partial)
+
+
+def _emit_grid(args, command: str, parameters: dict, grid: _Grid,
+               summary_extra: dict, code: int) -> int:
+    """Emit a grid's records and return code, or exit 3 if it was cut short."""
+    if grid.partial:
+        summary_extra = {**summary_extra, "partial": True}
+        code = EXIT_PARTIAL
+    _emit(args, command, parameters, grid.records, summary_extra, grid.lines)
+    return code
 
 
 def _emit(args, command: str, parameters: dict, records: list[dict],
-          summary_extra: dict) -> None:
+          summary_extra: dict, lines: list[str] | None = None) -> None:
+    """Report records (whose JSON lines may be given) and a summary."""
     summary = {"record": "summary", "command": command,
                "parameters": parameters, "engine_version": __version__,
                "record_count": len(records)}
     summary.update(summary_extra)
-    lines = [_record_dumps(r) for r in records] + [_record_dumps(summary)]
-    output = getattr(args, "output", None)
+    if lines is None:
+        lines = [_record_dumps(r) for r in records]
+    lines = lines + [_record_dumps(summary)]
+    output = args.output
     if output:
         _atomic_write(output, "\n".join(lines) + "\n")
         print(f"wrote {len(lines)} records to {output}", file=sys.stderr)
-    elif getattr(args, "table", False):
+    elif args.table:
         _print_table(records, summary)
     else:
         for line in lines:
@@ -246,7 +299,7 @@ def _print_table(records: list[dict], summary: dict) -> None:
 
 def _cell(value) -> str:
     if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return _record_dumps(value)
     return str(value)
 
 
@@ -293,11 +346,7 @@ class _FabCache:
     def _load(self):
         with open(self.path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        header = json.loads(lines[0]) if lines else {}
-        if header.get("engine_version") != __version__:
-            print("error: cache written by a different engine version",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+        _load_header(lines[0] if lines else "", "cache")
         good = [lines[0]]
         for line in lines[1:]:
             try:
@@ -351,14 +400,13 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     params = {"theorem_id": tid, "n_max": n_max, "a_max": a_max,
               "b_max": b_max, "expand": getattr(args, "expand", False)}
-    records = _run_grid(args, "verify", params, points, worker)
-    all_ok = all(r.get("ok", False) for r in records)
-    partial = any(r.get("partial") for r in records)
-    _emit(args, "verify", params, records,
-          {"all_ok": all_ok, "partial": partial})
-    if partial:
-        return EXIT_PARTIAL
-    return EXIT_OK if all_ok else EXIT_INCONCLUSIVE
+    grid = _run_grid(args, "verify", params, points, worker)
+    all_ok = all(r.get("ok", False) for r in grid.records)
+    partial = any(r.get("partial") for r in grid.records)
+    code = (EXIT_PARTIAL if partial else
+            EXIT_OK if all_ok else EXIT_INCONCLUSIVE)
+    return _emit_grid(args, "verify", params, grid,
+                      {"all_ok": all_ok, "partial": partial}, code)
 
 
 def _cmd_conj(args) -> int:
@@ -369,43 +417,39 @@ def _cmd_conj(args) -> int:
         worker = functools.partial(_w_conj2, p_cap=args.p_cap)
         params = {"conjecture_id": cid, "a_max": args.a_max,
                   "b_max": args.b_max, "p_cap": args.p_cap}
-        records = _run_grid(args, "conj", params, points, worker)
-        ok = all(r["found"] for r in records)
-        _emit(args, "conj", params, records, {"all_found": ok})
-        return EXIT_OK if ok else EXIT_INCONCLUSIVE
+        grid = _run_grid(args, "conj", params, points, worker)
+        ok = all(r["found"] for r in grid.records)
+        return _emit_grid(args, "conj", params, grid, {"all_found": ok},
+                          EXIT_OK if ok else EXIT_INCONCLUSIVE)
     if cid == "oddp":
         points = [(a, b) for a in range(2, args.a_max + 1)
                   for b in range(1, min(args.b_max, a - 1) + 1)]
         worker = functools.partial(_w_oddp, p=args.p, n_max=args.n_max)
         params = {"conjecture_id": cid, "p": args.p, "a_max": args.a_max,
                   "b_max": args.b_max, "n_max": args.n_max}
-        records = _run_grid(args, "conj", params, points, worker)
-        survivors = [r for r in records if r["survives"]]
-        _emit(args, "conj", params, records,
-              {"survivor_count": len(survivors)})
-        return EXIT_OK if not survivors else EXIT_INCONCLUSIVE
+        grid = _run_grid(args, "conj", params, points, worker)
+        survivors = [r for r in grid.records if r["survives"]]
+        return _emit_grid(args, "conj", params, grid,
+                          {"survivor_count": len(survivors)},
+                          EXIT_OK if not survivors else EXIT_INCONCLUSIVE)
     if cid == "oddp2":
         points = [(a, b) for a in range(1, args.a_max + 1)
                   for b in range(1, args.b_max + 1) if a * args.m > b]
         worker = functools.partial(_w_oddp2, m=args.m, n_max=args.n_max)
         params = {"conjecture_id": cid, "m": args.m, "a_max": args.a_max,
                   "b_max": args.b_max, "n_max": args.n_max}
-        records = _run_grid(args, "conj", params, points, worker)
-        survivors = [[r["a"], r["b"]] for r in records if r["survives"]]
-        _emit(args, "conj", params, records, {"survivors": survivors})
-        return EXIT_OK if survivors else EXIT_INCONCLUSIVE
+        grid = _run_grid(args, "conj", params, points, worker)
+        survivors = [[r["a"], r["b"]] for r in grid.records if r["survives"]]
+        return _emit_grid(args, "conj", params, grid, {"survivors": survivors},
+                          EXIT_OK if survivors else EXIT_INCONCLUSIVE)
     if cid == "c330n88n":
         ns = [args.n] if args.n else list(range(1, args.n_max + 1))
         points = [(n,) for n in ns]
         params = {"conjecture_id": cid, "n": args.n, "n_max": args.n_max}
-        try:
-            records = _run_grid(args, "conj", params, points, _w_c330)
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARTIAL
-        ok = all(r["matches_pattern"] for r in records)
-        _emit(args, "conj", params, records, {"all_match": ok})
-        return EXIT_OK if ok else EXIT_INCONCLUSIVE
+        grid = _run_grid(args, "conj", params, points, _w_c330)
+        ok = all(r["matches_pattern"] for r in grid.records)
+        return _emit_grid(args, "conj", params, grid, {"all_match": ok},
+                          EXIT_OK if ok else EXIT_INCONCLUSIVE)
     return EXIT_USAGE  # pragma: no cover
 
 
@@ -458,6 +502,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--table", action="store_true",
                         help="render records as a table instead of JSON lines")
     parser.add_argument("--output", help="write the report to a file")
+
+
+def _add_grid(parser: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that run grids."""
+    _add_common(parser)
     parser.add_argument("--par", type=int,
                         help="worker pool width (default DIVCERT_PAR or 1)")
     parser.add_argument("--checkpoint",
@@ -489,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-max", type=int, default=10)
     p.add_argument("--expand", action="store_true",
                    help="also expand coefficients where budgets allow")
-    _add_common(p)
+    _add_grid(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("conj", help="conjecture explorers and witness searches")
@@ -503,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--p-cap", type=int,
                    default=divisibility.CONJ2_PRIME_CAP_DEFAULT)
-    _add_common(p)
+    _add_grid(p)
     p.set_defaults(func=_cmd_conj)
 
     p = sub.add_parser("primes",
@@ -527,19 +576,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.budget_degree is not None:
-        os.environ["DIVCERT_BUDGET_DEGREE"] = str(args.budget_degree)
-    if args.budget_prime is not None:
-        os.environ["DIVCERT_BUDGET_PRIME"] = str(args.budget_prime)
-    start = time.monotonic()
+# Parsing leaves no state in the parser, so a process builds it once.
+_parser = functools.cache(build_parser)
+
+
+@contextlib.contextmanager
+def _budgets(args):
+    """Export the budget options to the environment the engine (and any
+    worker process) reads, for the duration of one call only."""
+    saved = {}
+    for var, value in (("DIVCERT_BUDGET_DEGREE", args.budget_degree),
+                       ("DIVCERT_BUDGET_PRIME", args.budget_prime)):
+        if value is not None:
+            saved[var] = os.environ.get(var)
+            os.environ[var] = str(value)
     try:
-        code = args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    start = time.monotonic()
+    with _budgets(args):
+        try:
+            code = args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

@@ -197,6 +197,30 @@ def totients_up_to(n: int) -> list[int]:
     return phi
 
 
+# The shared totient table is sieved once and extended on demand.
+_totients: list[int] = [0]
+_totients_limit = 0
+_totients_lock = threading.Lock()
+
+
+def totient_table(n: int) -> list[int]:
+    """Shared [phi(0), phi(1), ..., phi(N)] for some N >= n; read-only.
+
+    Grows by doubling, so a process sieves O(log n) times in all.
+    """
+    global _totients, _totients_limit
+    if n < 0:
+        raise ValueError("totient_table requires n >= 0")
+    if n <= _totients_limit:
+        return _totients
+    with _totients_lock:
+        if n > _totients_limit:
+            new_limit = max(n, 1024, 2 * _totients_limit)
+            _totients = totients_up_to(new_limit)
+            _totients_limit = new_limit
+    return _totients
+
+
 def totient(n: int) -> int:
     """Euler's totient, from the prime factorization of n."""
     if n < 1:
@@ -259,7 +283,12 @@ def _legendre_sum(n: int, p: int) -> int:
         v += q
         q //= p
     # Independent route: (n - base-p digit sum) / (p - 1).
-    assert v == (n - sum(base_p_digits(n, p))) // (p - 1)
+    digit_sum = 0
+    r = n
+    while r:
+        r, d = divmod(r, p)
+        digit_sum += d
+    assert v == (n - digit_sum) // (p - 1)
     return v
 
 

@@ -226,7 +226,7 @@ class CycloFactorization:
     def degree(self) -> int:
         """Degree of the represented expression (may be meaningful only when
         it is a polynomial; in general the formal degree sum)."""
-        phi = core.totients_up_to(max(self.exponents, default=0))
+        phi = core.totient_table(max(self.exponents, default=0))
         return sum(e * phi[d] for d, e in self.exponents.items())
 
 
@@ -261,34 +261,32 @@ def qbinom_factorization(m: int, k: int) -> CycloFactorization:
     """
     if not 0 <= k <= m:
         raise ValueError("require 0 <= k <= m")
-    exps = {}
-    for d in range(2, m + 1):
-        e = m // d - k // d - (m - k) // d
-        if e:
-            exps[d] = e
-    return CycloFactorization(exps)
+    return CycloFactorization(
+        {d: e for d, e in enumerate(_qbinom_exponents(m, k)) if e})
+
+
+def _qbinom_exponents(m: int, k: int) -> list[int]:
+    """e_d = floor(m/d) - floor(k/d) - floor((m-k)/d) at index d, for
+    2 <= d <= m; indices 0 and 1 hold 0."""
+    r = m - k
+    return [0, 0] + [m // d - k // d - r // d for d in range(2, m + 1)]
 
 
 def expr_factorization(expr: QuotientExpr) -> CycloFactorization:
     """Cyclotomic exponents of a full quotient expression.
 
-    Each q-integer factor 1-q^t contributes chi(d | t) for every d >= 2;
-    the d = 1 contributions cancel by the balanced invariant.
+    Each q-integer factor 1-q^t contributes chi(d | t) for every d >= 2,
+    so only the divisors of t are visited; the d = 1 contributions cancel
+    by the balanced invariant.
     """
+    exps = _qbinom_exponents(expr.binom_m, expr.binom_k)
     top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
-    m, k = expr.binom_m, expr.binom_k
-    exps: dict[int, int] = {}
-    for d in range(2, top + 1):
-        e = m // d - k // d - (m - k) // d
-        for t in expr.numerator_ms:
-            if t % d == 0:
-                e += 1
-        for t in expr.denominator_ns:
-            if t % d == 0:
-                e -= 1
-        if e:
-            exps[d] = e
-    return CycloFactorization(exps)
+    exps += [0] * (top + 1 - len(exps))
+    for sign, ts in ((1, expr.numerator_ms), (-1, expr.denominator_ns)):
+        for t in ts:
+            for d in _divisors(t)[1:]:
+                exps[d] += sign
+    return CycloFactorization({d: e for d, e in enumerate(exps) if e})
 
 
 def is_polynomial(f: CycloFactorization) -> bool:

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from divcert import cli
 
@@ -135,11 +137,18 @@ class TestVerify:
         ["--budget-prime", "0", "theta", "10"],
     ])
     def test_zero_budget_honoured(self, argv, capsys, monkeypatch):
-        # main() exports the budget to the environment; monkeypatch restores it.
+        # The option overrides a budget set in the environment.
         monkeypatch.setenv("DIVCERT_BUDGET_DEGREE", "100000")
         monkeypatch.setenv("DIVCERT_BUDGET_PRIME", "100000000")
         code, _, _ = run_cli(argv, capsys)
         assert code == 3
+
+    def test_budget_option_does_not_leak(self, capsys):
+        argv = ["verify", "thm4", "--n-max", "1", "--expand"]
+        before = os.environ.get("DIVCERT_BUDGET_DEGREE")
+        assert run_cli(["--budget-degree", "0"] + argv, capsys)[0] == 3
+        assert os.environ.get("DIVCERT_BUDGET_DEGREE") == before
+        assert run_cli(argv, capsys)[0] == 0
 
     def test_table_output(self, capsys):
         code, out, _ = run_cli(
@@ -250,6 +259,18 @@ class TestConj:
         assert rec["negatives"] == [[1, -1], [103, -1]]
         assert rec["matches_pattern"] is True
 
+    def test_c330n88n_budget_keeps_finished_records(self, capsys):
+        code, out, err = run_cli(
+            ["--budget-degree", "200", "conj", "c330n88n", "--n-max", "2"],
+            capsys)
+        assert code == 3
+        records = parse_jsonl(out)
+        assert [r["n"] for r in records[:-1]] == [1]
+        assert records[0]["matches_pattern"] is True
+        assert records[-1]["partial"] is True
+        assert records[-1]["record_count"] == 1
+        assert "error: expansion degree" in err
+
     def test_oddp2(self, capsys):
         code, out, _ = run_cli(
             ["conj", "oddp2", "--m", "1", "--a-max", "4", "--b-max", "4",
@@ -307,6 +328,57 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli([], capsys)
         assert exc.value.code == 64
+
+    def test_grid_options_rejected_elsewhere(self, tmp_path, capsys):
+        ckpt = tmp_path / "run.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fab", "7", "36", "--par", "4", "--checkpoint", str(ckpt)],
+                    capsys)
+        assert exc.value.code == 64
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fab", "2", "3", "--cache"],
+        ["verify", "thm3", "--n-max", "2", "--checkpoint"],
+    ])
+    def test_non_object_header_refused(self, argv, tmp_path, capsys):
+        state = tmp_path / "state"
+        state.write_text("[1]\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + [str(state)], capsys)
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert "error:" in err and "header is not a JSON object" in err
+        assert state.read_text() == "[1]\n"
+
+
+class TestRepeatedCalls:
+    def test_usage_error_between_runs_changes_nothing(self, tmp_path, capsys):
+        argv = ["verify", "thm4", "--n-max", "2"]
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        ckpt = tmp_path / "run.ckpt"
+        assert run_cli(argv + ["--output", str(first),
+                               "--checkpoint", str(ckpt)], capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "thm4", "--n-max", "two"], capsys)
+        assert exc.value.code == 64
+        assert run_cli(argv + ["--output", str(second)], capsys)[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+        # The checkpoint holds the same record lines as the report.
+        assert (ckpt.read_text().splitlines()[1:]
+                == first.read_text().splitlines()[:-1])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children), max_leaves=20)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES))
+def test_record_dumps_matches_json_dumps(record):
+    assert cli._record_dumps(record) == json.dumps(
+        record, sort_keys=True, separators=(",", ":"))
 
 
 class TestParallel:

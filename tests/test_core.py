@@ -91,6 +91,19 @@ class TestTotient:
         with pytest.raises(ValueError):
             core.totients_up_to(-1)
 
+    def test_shared_table_grows_and_agrees(self, monkeypatch):
+        monkeypatch.setattr(core, "_totients", [0])
+        monkeypatch.setattr(core, "_totients_limit", 0)
+        sizes = []
+        for n in (10, 1024, 1025, 2049, 3000, 5):
+            table = core.totient_table(n)
+            sizes.append(len(table))
+        # One sieve, then two doublings; smaller requests reuse the table.
+        assert sizes == [1025, 1025, 2049, 4097, 4097, 4097]
+        assert table == core.totients_up_to(4096)
+        with pytest.raises(ValueError):
+            core.totient_table(-1)
+
     @given(st.integers(1, 3000))
     def test_brute_force(self, n):
         assert core.totient(n) == sum(

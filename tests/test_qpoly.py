@@ -151,6 +151,40 @@ class TestQuotientExpr:
         assert not qpoly.is_polynomial(f)
 
 
+def _expr_exponents_per_d(expr: QuotientExpr) -> dict[int, int]:
+    """Oracle: every d up to the largest index, tested against every index."""
+    top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
+    m, k = expr.binom_m, expr.binom_k
+    exps = {}
+    for d in range(2, top + 1):
+        e = m // d - k // d - (m - k) // d
+        e += sum(1 for t in expr.numerator_ms if t % d == 0)
+        e -= sum(1 for t in expr.denominator_ns if t % d == 0)
+        if e:
+            exps[d] = e
+    return exps
+
+
+@st.composite
+def balanced_exprs(draw):
+    m = draw(st.integers(0, 60))
+    k = draw(st.integers(0, m))
+    size = draw(st.integers(0, 3))
+    # Indices range past m, so some exponents come from the factors alone.
+    indices = st.lists(st.integers(1, 150), min_size=size, max_size=size)
+    return QuotientExpr(tuple(draw(indices)), tuple(draw(indices)), m, k)
+
+
+class TestExprFactorizationOracle:
+    @given(balanced_exprs())
+    @settings(max_examples=300)
+    def test_matches_per_d_loop(self, expr):
+        f = qpoly.expr_factorization(expr)
+        assert list(f.exponents.items()) == list(
+            _expr_exponents_per_d(expr).items())
+        assert f.sign == 1
+
+
 class TestExpand:
     def test_qbinom_4_2(self):
         f = qpoly.qbinom_factorization(4, 2)
