@@ -3,4 +3,5 @@ binomial and q-binomial coefficients."""
 
 __version__ = "0.1.0"
 
-from ._backend import BACKEND as KERNEL_BACKEND  # noqa: F401
+# The coefficient kernels have one implementation, in _kernels.py.
+KERNEL_BACKEND = "python"

@@ -1,9 +1,8 @@
-"""Pure-Python coefficient kernels.
+"""Coefficient kernels.
 
 These two passes dominate the runtime of every polynomial expansion: a dense
 q-binomial quotient is built by repeatedly multiplying and exactly dividing
-by binomials 1 - q^t.  A compiled twin lives in ``_ckernels.pyx``; the
-import-time selection happens in ``_backend``.
+by binomials 1 - q^t.
 
 Coefficient lists are plain ``list[int]`` (arbitrary precision), constant
 term first, and may carry trailing zeros; callers normalize.

@@ -47,9 +47,13 @@ def _record_dumps(record: dict) -> str:
     return _ENCODER.encode(record)
 
 
-def _fingerprint(command: str, parameters: dict) -> str:
+def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
+    """Identifies the question a checkpoint answers.  The degree budget is
+    part of it: a record expanded under one budget may read nonneg null
+    under a smaller one."""
     blob = _record_dumps({"command": command, "parameters": parameters,
-                          "engine_version": __version__})
+                          "engine_version": __version__,
+                          "budget_degree": budget_degree})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -145,12 +149,6 @@ def _w_c330(point):
 # ---------------------------------------------------------------------------
 # Grid running, checkpointing, reporting.
 
-def _parallel_width(args) -> int:
-    if args.par:
-        return args.par
-    return int(os.environ.get("DIVCERT_PAR", "1"))
-
-
 def _map_ordered(worker, points, width):
     if width <= 1:
         for p in points:
@@ -180,13 +178,17 @@ def _load_header(line: str, kind: str) -> dict:
     return header
 
 
-def _load_checkpoint(path: str, fingerprint: str) -> list[dict]:
+def _load_checkpoint(path: str, command: str, parameters: dict,
+                     budget_degree: int) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        return []
     header = _load_header(lines[0], "checkpoint")
-    if header.get("fingerprint") != fingerprint:
+    found = header.get("fingerprint")
+    if found != _fingerprint(command, parameters, budget_degree):
+        written = header.get("budget_degree")
+        if found == _fingerprint(command, parameters, written):
+            _refuse(f"checkpoint written under degree budget {written}, "
+                    f"not {budget_degree}")
         _refuse("checkpoint belongs to a different command")
     records = []
     corrupt_from = None
@@ -225,23 +227,28 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker) -> _Gr
     A budget running out ends the grid early; the records finished before
     it are kept (and checkpointed) and the grid is marked partial.
     """
-    fingerprint = _fingerprint(command, parameters)
+    budget_degree = qpoly.degree_budget()
     records: list[dict] = []
     checkpoint = args.checkpoint
-    if checkpoint and os.path.exists(checkpoint):
-        records = _load_checkpoint(checkpoint, fingerprint)
     fh = None
     if checkpoint:
-        fresh = not os.path.exists(checkpoint)
+        # A missing or empty file starts a fresh checkpoint.
+        fresh = not os.path.exists(checkpoint) or not os.path.getsize(checkpoint)
+        if not fresh:
+            records = _load_checkpoint(checkpoint, command, parameters,
+                                       budget_degree)
         fh = open(checkpoint, "a", encoding="utf-8")
         if fresh:
-            fh.write(_record_dumps({"engine_version": __version__,
-                                    "fingerprint": fingerprint}) + "\n")
+            fh.write(_record_dumps({
+                "budget_degree": budget_degree,
+                "engine_version": __version__,
+                "fingerprint": _fingerprint(command, parameters, budget_degree),
+            }) + "\n")
             fh.flush()
     lines = [_record_dumps(r) for r in records]
     partial = False
     try:
-        for rec in _map_ordered(worker, points[len(records):], _parallel_width(args)):
+        for rec in _map_ordered(worker, points[len(records):], args.par):
             line = _record_dumps(rec)
             if fh:
                 fh.write(line + "\n")
@@ -507,8 +514,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_grid(parser: argparse.ArgumentParser) -> None:
     """Options of the subcommands that run grids."""
     _add_common(parser)
-    parser.add_argument("--par", type=int,
-                        help="worker pool width (default DIVCERT_PAR or 1)")
+    parser.add_argument("--par", type=int, default=1,
+                        help="worker pool width (default 1)")
     parser.add_argument("--checkpoint",
                         help="append-only checkpoint log; resumable")
 

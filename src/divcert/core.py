@@ -351,9 +351,7 @@ def binom_exact(m: int, k: int, budget: int = BINOM_EXACT_BUDGET_DEFAULT) -> int
     return math.comb(m, k)
 
 
-def divides_binomial(
-    m: int, k: int, D: int, *, factor_ceiling: int = FACTOR_CEILING_DEFAULT
-) -> tuple[bool, list[ValuationCertificate]]:
+def divides_binomial(m: int, k: int, D: int) -> tuple[bool, list[ValuationCertificate]]:
     """Does D divide binom(m, k)?  Decided prime-by-prime via valuations.
 
     Returns the verdict together with the full per-prime certificate list,
@@ -365,7 +363,7 @@ def divides_binomial(
         raise ValueError("modulus must be >= 1")
     verdict = True
     certificates = []
-    for p, e in factorize(D, ceiling=factor_ceiling).factors:
+    for p, e in factorize(D).factors:
         cert = binom_valuation(m, k, p)
         certificates.append(cert)
         if cert.valuation < e:

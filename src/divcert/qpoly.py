@@ -18,13 +18,10 @@ import threading
 from dataclasses import dataclass, field
 
 from . import core
-from ._backend import div_one_minus_qt, mul_one_minus_qt
+from ._kernels import div_one_minus_qt, mul_one_minus_qt
 from .errors import BudgetExceededError
 
 DEGREE_BUDGET_DEFAULT = 10**5
-
-# Schoolbook multiplication switches to divide-and-conquer above this degree.
-KARATSUBA_THRESHOLD = 4096
 
 
 def degree_budget() -> int:
@@ -83,7 +80,16 @@ class IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_mul(list(self.coeffs), list(other.coeffs)))
+        """Schoolbook product."""
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return IntPoly(out)
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q**k."""
@@ -93,46 +99,6 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
-
-
-def _mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) > KARATSUBA_THRESHOLD:
-        return _karatsuba(a, b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _karatsuba(a: list, b: list) -> list:
-    half = min(len(a), len(b)) // 2
-    a0, a1 = a[:half], a[half:]
-    b0, b1 = b[:half], b[half:]
-    z0 = _mul(a0, b0)
-    z2 = _mul(a1, b1)
-    s0 = [x + y for x, y in _zip_pad(a0, a1)]
-    s1 = [x + y for x, y in _zip_pad(b0, b1)]
-    z1 = _mul(s0, s1)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-        out[i + half] -= c
-    for i, c in enumerate(z1):
-        out[i + half] += c
-    for i, c in enumerate(z2):
-        out[i + half] -= c
-        out[i + 2 * half] += c
-    return out
-
-
-def _zip_pad(a: list, b: list):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
 
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +242,42 @@ class TestCheckpoint:
         _, err = capsys.readouterr()
         assert "error: checkpoint written by a different engine version" in err
 
+    def test_empty_file_starts_fresh(self, tmp_path, capsys):
+        ckpt = tmp_path / "empty.ckpt"
+        ckpt.write_text("")
+        argv = ["verify", "thm3", "--n-max", "2", "--checkpoint", str(ckpt)]
+        _, uncheckpointed, _ = run_cli(argv[:-2], capsys)
+        code, first, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "fingerprint" in json.loads(ckpt.read_text().splitlines()[0])
+        code, second, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert first == second == uncheckpointed
+
+    def test_degree_budget_mismatch_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DIVCERT_BUDGET_DEGREE", raising=False)
+        ckpt = str(tmp_path / "budget.ckpt")
+        argv = ["verify", "thm4", "--n-max", "1", "--expand", "--checkpoint", ckpt]
+        code, partial, _ = run_cli(["--budget-degree", "50"] + argv, capsys)
+        assert code == 3
+        # The same budget resumes; another one is refused by name.
+        code, resumed, _ = run_cli(["--budget-degree", "50"] + argv, capsys)
+        assert code == 3 and resumed == partial
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, capsys)
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert "error: checkpoint written under degree budget 50, not 100000" in err
+
+    def test_degree_budget_not_in_report(self, tmp_path, capsys):
+        argv = ["verify", "thm3", "--n-max", "2"]
+        _, plain, _ = run_cli(argv, capsys)
+        code, budgeted, _ = run_cli(
+            ["--budget-degree", "7"] + argv
+            + ["--checkpoint", str(tmp_path / "run.ckpt")], capsys)
+        assert code == 0
+        assert budgeted == plain
+
 
 class TestConj:
     def test_conj2witness(self, capsys):
@@ -388,6 +426,15 @@ class TestParallel:
         code, par, _ = run_cli(args + ["--par", "2"], capsys)
         assert code == 0
         assert par == serial
+
+
+def test_environment_table_matches_source():
+    root = Path(__file__).resolve().parents[1]
+    source = "".join(p.read_text() for p in (root / "src" / "divcert").glob("*.py"))
+    read = set(re.findall(r"DIVCERT_[A-Z_]+", source))
+    table = set(re.findall(r"^\| `(DIVCERT_[A-Z_]+)`",
+                           (root / "README.md").read_text(), re.MULTILINE))
+    assert read == table == {"DIVCERT_BUDGET_DEGREE", "DIVCERT_BUDGET_PRIME"}
 
 
 class TestEntryPoint:
