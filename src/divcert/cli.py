@@ -7,7 +7,8 @@ resumed run produces byte-identical records to an uninterrupted one, so
 wall-clock timing is reported on stderr rather than inside the records.
 
 Exit codes: 0 success / all expected verdicts true, 2 inconclusive or
-exhausted search, 3 partial results due to a budget, 64 usage error.
+exhausted search, 3 partial results due to a budget, 64 usage error,
+70 a failed internal cross-check.
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from . import __version__, core, divisibility, qdivisibility, qpoly
+from . import __version__, divisibility, qdivisibility, qpoly
 from .errors import BudgetExceededError, SearchExhaustedError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_PARTIAL = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,24 +60,78 @@ def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Grid workers (module level so they pickle for the process pool).
+# Grids.  Each claim that `verify` and `conj` check is a grid: points, each
+# a dict of named coordinates; a worker (parameters, point) -> record, the
+# point with its verdict; and a rule records -> (summary fields, exit code).
+# Every verify claim records the same options and shares one rule.  Workers
+# are module level, so they pickle for --par, and look engine functions up
+# per call, so wrappers installed on the engine modules (tracers) see them.
 
-def _w_thm0(point):
-    a, b, n = point
-    return {"a": a, "b": b, "n": n,
-            "ok": divisibility.verify_reduced_modulus(a, b, n)}
+_VERIFY_OPTIONS = ("n_max", "a_max", "b_max", "expand")
 
 
-def _w_thm3(point):
-    (n,) = point
-    v = divisibility.verify_congruence_families(n)
-    return {"n": n, "ok": v.all_ok,
+def _verify_rule(records):
+    all_ok = all(r.get("ok", False) for r in records)
+    partial = any(r.get("partial") for r in records)
+    return ({"all_ok": all_ok, "partial": partial},
+            EXIT_PARTIAL if partial else EXIT_OK if all_ok else EXIT_INCONCLUSIVE)
+
+
+class _Claim(NamedTuple):
+    points: Callable[[dict], list[dict]]
+    worker: Callable[[dict, dict], dict]
+    options: tuple[str, ...] = _VERIFY_OPTIONS  # recorded as parameters
+    rule: Callable[[list[dict]], tuple[dict, int]] = _verify_rule
+
+
+def _ab(params):
+    return [{"a": a, "b": b} for a in range(1, params["a_max"] + 1)
+            for b in range(1, params["b_max"] + 1)]
+
+
+def _abn(params):
+    return [{**ab, "n": n} for ab in _ab(params)
+            for n in range(1, params["n_max"] + 1)]
+
+
+def _ns(params):
+    return [{"n": n} for n in range(1, params["n_max"] + 1)]
+
+
+def _thm0(params, point):
+    return {**point, "ok": divisibility.verify_reduced_modulus(**point)}
+
+
+def _decomposition(params, point):
+    return {**point, "ok": divisibility.verify_quotient_decomposition(**point)}
+
+
+def _nonneg(point, v) -> dict:
+    """The record of a quotient that must be a non-negative polynomial."""
+    return {**point, "ok": bool(v.polynomial and v.nonneg), "degree": v.degree}
+
+
+def _thm_kn(params, point):
+    return _nonneg(point, qdivisibility.verify_gcd_central_quotient(**point))
+
+
+def _andrews(params, point):
+    return _nonneg(point, qdivisibility.gcd_binomial_quotient_check(**point))
+
+
+def _anbn(params, point):
+    return _nonneg(point, qdivisibility.verify_gcd_catalan_family(**point))
+
+
+def _thm3(params, point):
+    v = divisibility.verify_congruence_families(**point)
+    return {**point, "ok": v.all_ok,
             "checks": [{"label": c.label, "ok": c.ok} for c in v.checks]}
 
 
-def _w_thm4(point, expand=True):
-    (n,) = point
-    verdicts = qdivisibility.verify_q_families(n, expand_coefficients=expand)
+def _thm4(params, point):
+    expand = params["expand"]
+    verdicts = qdivisibility.verify_q_families(**point, expand_coefficients=expand)
     families = [{"family": v.family_id, "polynomial": v.polynomial,
                  "nonneg": v.nonneg, "degree": v.degree,
                  "negative_positions": list(v.negative_positions)}
@@ -84,66 +140,84 @@ def _w_thm4(point, expand=True):
     ok = all(v.polynomial and v.nonneg is not False for v in verdicts)
     partial = expand and any(
         v.polynomial and v.nonneg is None for v in verdicts[:-1])
-    return {"n": n, "ok": ok, "partial": partial, "families": families}
+    return {**point, "ok": ok, "partial": partial, "families": families}
 
 
-def _w_thm_kn(point):
-    n, k = point
-    v = qdivisibility.verify_gcd_central_quotient(n, k)
-    return {"n": n, "k": k, "ok": bool(v.polynomial and v.nonneg),
-            "degree": v.degree}
-
-
-def _w_andrews(point):
-    a, b = point
-    v = qdivisibility.gcd_binomial_quotient_check(a, b)
-    return {"a": a, "b": b, "ok": bool(v.polynomial and v.nonneg),
-            "degree": v.degree}
-
-
-def _w_anbn(point):
-    a, b, n = point
-    v = qdivisibility.verify_gcd_catalan_family(a, b, n)
-    return {"a": a, "b": b, "n": n,
-            "ok": bool(v.polynomial and v.nonneg), "degree": v.degree}
-
-
-def _w_decomposition(point):
-    a, b, n = point
-    return {"a": a, "b": b, "n": n,
-            "ok": divisibility.verify_quotient_decomposition(a, b, n)}
-
-
-def _w_conj2(point, p_cap=divisibility.CONJ2_PRIME_CAP_DEFAULT):
-    a, b = point
+def _conj2(params, point):
+    p_cap = params["p_cap"]
     try:
-        w = divisibility.negative_valuation_witness(a, b, p_cap)
+        w = divisibility.negative_valuation_witness(**point, p_cap=p_cap)
     except SearchExhaustedError:
-        return {"a": a, "b": b, "found": False, "p_cap": p_cap}
-    return {"a": a, "b": b, "found": True, "p": w.p, "n": w.n, "e": w.e,
+        return {**point, "found": False, "p_cap": p_cap}
+    return {**point, "found": True, "p": w.p, "n": w.n, "e": w.e,
             "valuation": w.valuation}
 
 
-def _w_oddp(point, p=3, n_max=100):
-    a, b = point
-    n = divisibility.first_failing_n(p, a, b, n_max)
-    return {"a": a, "b": b, "p": p, "first_failing_n": n,
-            "survives": n is None}
+def _oddp(params, point):
+    p = params["p"]
+    n = divisibility.first_failing_n(p, **point, n_max=params["n_max"])
+    return {**point, "p": p, "first_failing_n": n, "survives": n is None}
 
 
-def _w_oddp2(point, m=1, n_max=50):
-    a, b = point
-    survives = divisibility._pair_survives(m, a, b, n_max)
-    return {"a": a, "b": b, "m": m, "survives": survives}
+def _oddp2(params, point):
+    m = params["m"]
+    return {**point, "m": m, "survives": divisibility._pair_survives(
+        m, **point, n_max=params["n_max"])}
 
 
-def _w_c330(point):
-    (n,) = point
-    degree, negatives = qdivisibility.check_c330n88n(n)
-    expected = qdivisibility.conjectured_pattern(n)
-    return {"n": n, "degree": degree, "negatives": [list(t) for t in negatives],
-            "matches_pattern": [list(t) for t in expected] ==
-                               [list(t) for t in negatives]}
+def _c330(params, point):
+    degree, negatives = qdivisibility.check_c330n88n(**point)
+    expected = qdivisibility.conjectured_pattern(**point)
+    negatives = [list(t) for t in negatives]
+    return {**point, "degree": degree, "negatives": negatives,
+            "matches_pattern": [list(t) for t in expected] == negatives}
+
+
+def _every(key: str, field: str):
+    """The rule that every record's `key` holds, reported as `field`."""
+    def rule(records):
+        ok = all(r[key] for r in records)
+        return {field: ok}, EXIT_OK if ok else EXIT_INCONCLUSIVE
+    return rule
+
+
+def _oddp_rule(records):
+    count = sum(r["survives"] for r in records)
+    return {"survivor_count": count}, EXIT_INCONCLUSIVE if count else EXIT_OK
+
+
+def _oddp2_rule(records):
+    survivors = [[r["a"], r["b"]] for r in records if r["survives"]]
+    return {"survivors": survivors}, EXIT_OK if survivors else EXIT_INCONCLUSIVE
+
+
+# By command, then by id; the id is recorded under the name of the
+# command's positional argument.
+_GRIDS = {
+    "verify": {
+        "thm0": _Claim(_abn, _thm0),
+        "thm3": _Claim(_ns, _thm3),
+        "thm4": _Claim(_ns, _thm4),
+        "thm_kn": _Claim(lambda params: [
+            {**p, "k": k} for p in _ns(params) for k in range(p["n"] + 1)], _thm_kn),
+        "andrews": _Claim(_ab, _andrews),
+        "anbn": _Claim(_abn, _anbn),
+        "decomposition": _Claim(lambda params: [
+            p for p in _abn(params) if p["a"] * p["n"] >= 2], _decomposition),
+    },
+    "conj": {
+        "conj2witness": _Claim(_ab, _conj2, ("a_max", "b_max", "p_cap"),
+                               _every("found", "all_found")),
+        "oddp": _Claim(lambda params: [p for p in _ab(params) if p["b"] < p["a"]],
+                       _oddp, ("p", "a_max", "b_max", "n_max"), _oddp_rule),
+        "oddp2": _Claim(lambda params: [
+            p for p in _ab(params) if p["a"] * params["m"] > p["b"]],
+            _oddp2, ("m", "a_max", "b_max", "n_max"), _oddp2_rule),
+        "c330n88n": _Claim(lambda params: (
+            _ns(params) if params["n"] is None else [{"n": params["n"]}]),
+            _c330, ("n", "n_max"), _every("matches_pattern", "all_match")),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +225,7 @@ def _w_c330(point):
 
 def _map_ordered(worker, points, width):
     if width <= 1:
-        for p in points:
-            yield worker(p)
+        yield from map(worker, points)
         return
     with ProcessPoolExecutor(max_workers=width) as ex:
         chunk = max(1, len(points) // (width * 8)) if points else 1
@@ -164,45 +237,52 @@ def _refuse(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-def _load_header(line: str, kind: str) -> dict:
-    """The header of a checkpoint or cache; refuses a malformed or
-    foreign one."""
+def _read_log(path: str, kind: str, entry, check=None) -> list:
+    """The entries of an append-only log: a JSON header line, then one JSON
+    entry per line, each read by `entry`.
+
+    Refuses a header that is not a JSON object, comes from another engine
+    version or fails `check`.  The first line that `entry` cannot read
+    starts a torn tail, which is dropped from the file with a warning.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     try:
-        header = json.loads(line)
+        header = json.loads(lines[0] if lines else "")
     except json.JSONDecodeError:
         header = None
     if not isinstance(header, dict):
         _refuse(f"{kind} header is not a JSON object")
     if header.get("engine_version") != __version__:
         _refuse(f"{kind} written by a different engine version")
-    return header
+    if check:
+        check(header)
+    entries = []
+    for i, line in enumerate(lines[1:], start=1):
+        try:
+            entries.append(entry(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError):
+            print(f"warning: dropping corrupt {kind} tail at line {i + 1}",
+                  file=sys.stderr)
+            _atomic_write(path, "\n".join(lines[:i]) + "\n")
+            break
+    return entries
 
 
 def _load_checkpoint(path: str, command: str, parameters: dict,
                      budget_degree: int) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = _load_header(lines[0], "checkpoint")
-    found = header.get("fingerprint")
-    if found != _fingerprint(command, parameters, budget_degree):
-        written = header.get("budget_degree")
+    def check(header):
+        found = header.get("fingerprint")
+        if found == _fingerprint(command, parameters, budget_degree):
+            return
+        if "budget_degree" not in header:
+            _refuse("checkpoint predates degree-budget fingerprints; delete it")
+        written = header["budget_degree"]
         if found == _fingerprint(command, parameters, written):
             _refuse(f"checkpoint written under degree budget {written}, "
                     f"not {budget_degree}")
         _refuse("checkpoint belongs to a different command")
-    records = []
-    corrupt_from = None
-    for i, line in enumerate(lines[1:], start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            corrupt_from = i
-            break
-    if corrupt_from is not None:
-        print(f"warning: dropping corrupt checkpoint tail at line {corrupt_from + 1}",
-              file=sys.stderr)
-        _atomic_write(path, "\n".join(lines[:corrupt_from]) + "\n")
-    return records
+    return _read_log(path, "checkpoint", lambda record: record, check)
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -212,20 +292,12 @@ def _atomic_write(path: str, content: str) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
-class _Grid:
-    """The records of a grid run, each with its JSON line."""
-
-    records: list[dict]
-    lines: list[str]
-    partial: bool  # a budget ran out before the last point
-
-
-def _run_grid(args, command: str, parameters: dict, points: list, worker) -> _Grid:
+def _run_grid(args, command: str, parameters: dict, points: list, worker):
     """Run a grid, optionally resuming from and appending to a checkpoint.
 
-    A budget running out ends the grid early; the records finished before
-    it are kept (and checkpointed) and the grid is marked partial.
+    Returns the records, their JSON lines, and whether a budget ran out
+    before the last point; the records finished before it are kept (and
+    checkpointed).
     """
     budget_degree = qpoly.degree_budget()
     records: list[dict] = []
@@ -261,16 +333,22 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker) -> _Gr
     finally:
         if fh:
             fh.close()
-    return _Grid(records, lines, partial)
+    return records, lines, partial
 
 
-def _emit_grid(args, command: str, parameters: dict, grid: _Grid,
-               summary_extra: dict, code: int) -> int:
-    """Emit a grid's records and return code, or exit 3 if it was cut short."""
-    if grid.partial:
-        summary_extra = {**summary_extra, "partial": True}
+def _cmd_grid(id_option: str, args) -> int:
+    """Run the grid of the `verify` or `conj` claim named by `id_option`."""
+    claim_id = getattr(args, id_option)
+    claim = _GRIDS[args.command][claim_id]
+    params = {id_option: claim_id, **{o: getattr(args, o) for o in claim.options}}
+    records, lines, partial = _run_grid(
+        args, args.command, params, claim.points(params),
+        functools.partial(claim.worker, params))
+    summary, code = claim.rule(records)
+    if partial:
+        summary["partial"] = True
         code = EXIT_PARTIAL
-    _emit(args, command, parameters, grid.records, summary_extra, grid.lines)
+    _emit(args, args.command, params, records, summary, lines)
     return code
 
 
@@ -279,8 +357,7 @@ def _emit(args, command: str, parameters: dict, records: list[dict],
     """Report records (whose JSON lines may be given) and a summary."""
     summary = {"record": "summary", "command": command,
                "parameters": parameters, "engine_version": __version__,
-               "record_count": len(records)}
-    summary.update(summary_extra)
+               "record_count": len(records), **summary_extra}
     if lines is None:
         lines = [_record_dumps(r) for r in records]
     lines = lines + [_record_dumps(summary)]
@@ -315,8 +392,8 @@ def _cell(value) -> str:
 
 def _cmd_fab(args) -> int:
     params = {"a": args.a, "b": args.b, "n_cap": args.n_cap}
-    cache = _FabCache(args.cache) if args.cache else None
-    record = cache.get(params) if cache else None
+    cache = _load_fab_cache(args.cache) if args.cache else {}
+    record = cache.get(_record_dumps(params))
     if record is None:
         result = divisibility.f_ab(args.a, args.b, n_cap=args.n_cap)
         info = divisibility.fab_bound(args.a, args.b)
@@ -324,140 +401,28 @@ def _cmd_fab(args) -> int:
                   "n": result.n, "n_max": result.n_max,
                   "bound": None if info is None else
                            {"p": info.p, "bound": info.bound, "s": info.s}}
-        if cache:
-            cache.put(params, record)
+        if args.cache:
+            with open(args.cache, "a", encoding="utf-8") as fh:
+                fh.write(_record_dumps({"key": params, "record": record}) + "\n")
     _emit(args, "fab", params, [record], {"verdict": record["verdict"]})
     return EXIT_OK if record["verdict"] in ("found", "proven_zero") else EXIT_INCONCLUSIVE
 
 
-class _FabCache:
-    """Append-only log of fab results keyed on all of (a, b, n_cap).
+def _load_fab_cache(path: str) -> dict[str, dict]:
+    """The entries of an append-only fab cache, keyed on all of (a, b, n_cap).
 
     Each line after the versioned header is {"key": params, "record": record},
-    so an entry answers only the exact parameters it was computed for.
-    Refuses caches from another engine version.  A tail line that is not
-    such an entry (a torn write, or a result stored without its n_cap) is
-    dropped with a warning on load.
+    so an entry answers only the exact parameters it was computed for.  A
+    tail line that is not such an entry (a torn write, or a result stored
+    without its n_cap) is dropped.  A missing file starts an empty cache.
     """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.entries: dict[tuple[int, int], dict] = {}
-        if os.path.exists(path):
-            self._load()
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_record_dumps({"engine_version": __version__,
-                                        "kind": "fab-cache"}) + "\n")
-
-    def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        _load_header(lines[0] if lines else "", "cache")
-        good = [lines[0]]
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-                self.entries[_record_dumps(entry["key"])] = entry["record"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                print("warning: dropping corrupt cache tail", file=sys.stderr)
-                break
-            good.append(line)
-        if len(good) != len(lines):
-            _atomic_write(self.path, "\n".join(good) + "\n")
-
-    def get(self, params: dict) -> dict | None:
-        return self.entries.get(_record_dumps(params))
-
-    def put(self, params: dict, record: dict) -> None:
-        self.entries[_record_dumps(params)] = record
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_record_dumps({"key": params, "record": record}) + "\n")
-
-
-def _cmd_verify(args) -> int:
-    n_max, a_max, b_max = args.n_max, args.a_max, args.b_max
-    tid = args.theorem_id
-    if tid == "thm0":
-        points = [(a, b, n) for a in range(1, a_max + 1)
-                  for b in range(1, b_max + 1) for n in range(1, n_max + 1)]
-        worker = _w_thm0
-    elif tid == "thm3":
-        points = [(n,) for n in range(1, n_max + 1)]
-        worker = _w_thm3
-    elif tid == "thm4":
-        points = [(n,) for n in range(1, n_max + 1)]
-        worker = functools.partial(_w_thm4, expand=args.expand)
-    elif tid == "thm_kn":
-        points = [(n, k) for n in range(1, n_max + 1) for k in range(0, n + 1)]
-        worker = _w_thm_kn
-    elif tid == "andrews":
-        points = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)]
-        worker = _w_andrews
-    elif tid == "anbn":
-        points = [(a, b, n) for a in range(1, a_max + 1)
-                  for b in range(1, b_max + 1) for n in range(1, n_max + 1)]
-        worker = _w_anbn
-    elif tid == "decomposition":
-        points = [(a, b, n) for a in range(1, a_max + 1)
-                  for b in range(1, b_max + 1) for n in range(1, n_max + 1)
-                  if a * n >= 2]
-        worker = _w_decomposition
-    else:  # pragma: no cover - argparse choices guard this
-        return EXIT_USAGE
-    params = {"theorem_id": tid, "n_max": n_max, "a_max": a_max,
-              "b_max": b_max, "expand": getattr(args, "expand", False)}
-    grid = _run_grid(args, "verify", params, points, worker)
-    all_ok = all(r.get("ok", False) for r in grid.records)
-    partial = any(r.get("partial") for r in grid.records)
-    code = (EXIT_PARTIAL if partial else
-            EXIT_OK if all_ok else EXIT_INCONCLUSIVE)
-    return _emit_grid(args, "verify", params, grid,
-                      {"all_ok": all_ok, "partial": partial}, code)
-
-
-def _cmd_conj(args) -> int:
-    cid = args.conjecture_id
-    if cid == "conj2witness":
-        points = [(a, b) for a in range(1, args.a_max + 1)
-                  for b in range(1, args.b_max + 1)]
-        worker = functools.partial(_w_conj2, p_cap=args.p_cap)
-        params = {"conjecture_id": cid, "a_max": args.a_max,
-                  "b_max": args.b_max, "p_cap": args.p_cap}
-        grid = _run_grid(args, "conj", params, points, worker)
-        ok = all(r["found"] for r in grid.records)
-        return _emit_grid(args, "conj", params, grid, {"all_found": ok},
-                          EXIT_OK if ok else EXIT_INCONCLUSIVE)
-    if cid == "oddp":
-        points = [(a, b) for a in range(2, args.a_max + 1)
-                  for b in range(1, min(args.b_max, a - 1) + 1)]
-        worker = functools.partial(_w_oddp, p=args.p, n_max=args.n_max)
-        params = {"conjecture_id": cid, "p": args.p, "a_max": args.a_max,
-                  "b_max": args.b_max, "n_max": args.n_max}
-        grid = _run_grid(args, "conj", params, points, worker)
-        survivors = [r for r in grid.records if r["survives"]]
-        return _emit_grid(args, "conj", params, grid,
-                          {"survivor_count": len(survivors)},
-                          EXIT_OK if not survivors else EXIT_INCONCLUSIVE)
-    if cid == "oddp2":
-        points = [(a, b) for a in range(1, args.a_max + 1)
-                  for b in range(1, args.b_max + 1) if a * args.m > b]
-        worker = functools.partial(_w_oddp2, m=args.m, n_max=args.n_max)
-        params = {"conjecture_id": cid, "m": args.m, "a_max": args.a_max,
-                  "b_max": args.b_max, "n_max": args.n_max}
-        grid = _run_grid(args, "conj", params, points, worker)
-        survivors = [[r["a"], r["b"]] for r in grid.records if r["survives"]]
-        return _emit_grid(args, "conj", params, grid, {"survivors": survivors},
-                          EXIT_OK if survivors else EXIT_INCONCLUSIVE)
-    if cid == "c330n88n":
-        ns = [args.n] if args.n else list(range(1, args.n_max + 1))
-        points = [(n,) for n in ns]
-        params = {"conjecture_id": cid, "n": args.n, "n_max": args.n_max}
-        grid = _run_grid(args, "conj", params, points, _w_c330)
-        ok = all(r["matches_pattern"] for r in grid.records)
-        return _emit_grid(args, "conj", params, grid, {"all_match": ok},
-                          EXIT_OK if ok else EXIT_INCONCLUSIVE)
-    return EXIT_USAGE  # pragma: no cover
+    if os.path.exists(path):
+        return dict(_read_log(path, "cache", lambda entry: (
+            _record_dumps(entry["key"]), entry["record"])))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_record_dumps({"engine_version": __version__,
+                                "kind": "fab-cache"}) + "\n")
+    return {}
 
 
 def _cmd_primes(args) -> int:
@@ -478,11 +443,7 @@ def _cmd_qbinom(args) -> int:
         record = {"m": args.m, "k": args.k,
                   "exponents": {str(d): e for d, e in sorted(f.exponents.items())}}
     else:
-        try:
-            poly = qpoly.qbinom_poly(args.m, args.k)
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARTIAL
+        poly = qpoly.qbinom_poly(args.m, args.k)
         record = {"m": args.m, "k": args.k, "degree": poly.degree,
                   "coeffs": list(poly.coeffs)}
     _emit(args, "qbinom", params, [record], {})
@@ -491,11 +452,7 @@ def _cmd_qbinom(args) -> int:
 
 def _cmd_theta(args) -> int:
     params = {"x": args.x}
-    try:
-        theta = divisibility.chebyshev_theta_3_2(args.x)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+    theta = divisibility.chebyshev_theta_3_2(args.x)
     record = {"x": theta.x, "theta": theta.value,
               "error_bound": theta.error_bound,
               "prime_count": theta.prime_count}
@@ -537,20 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fab)
 
     p = sub.add_parser("verify", help="grid-run a theorem verifier")
-    p.add_argument("theorem_id",
-                   choices=["thm0", "thm3", "thm4", "thm_kn", "andrews",
-                            "anbn", "decomposition"])
+    p.add_argument("theorem_id", choices=list(_GRIDS["verify"]))
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--a-max", type=int, default=10)
     p.add_argument("--b-max", type=int, default=10)
     p.add_argument("--expand", action="store_true",
                    help="also expand coefficients where budgets allow")
     _add_grid(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=functools.partial(_cmd_grid, "theorem_id"))
 
     p = sub.add_parser("conj", help="conjecture explorers and witness searches")
-    p.add_argument("conjecture_id",
-                   choices=["conj2witness", "oddp", "oddp2", "c330n88n"])
+    p.add_argument("conjecture_id", choices=list(_GRIDS["conj"]))
     p.add_argument("--a-max", type=int, default=10)
     p.add_argument("--b-max", type=int, default=10)
     p.add_argument("--n-max", type=int, default=50)
@@ -560,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-cap", type=int,
                    default=divisibility.CONJ2_PRIME_CAP_DEFAULT)
     _add_grid(p)
-    p.set_defaults(func=_cmd_conj)
+    p.set_defaults(func=functools.partial(_cmd_grid, "conjecture_id"))
 
     p = sub.add_parser("primes",
                        help="witness primes == 2 (mod 3) in windows (x, 20x/19)")
@@ -616,6 +570,12 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except AssertionError as exc:
+            print(f"error: internal check failed: {exc}", file=sys.stderr)
+            return EXIT_SOFTWARE
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_PARTIAL
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

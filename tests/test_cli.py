@@ -137,6 +137,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ["--budget-degree", "0", "verify", "thm4", "--n-max", "1", "--expand"],
         ["--budget-prime", "0", "theta", "10"],
+        ["--budget-prime", "0", "primes", "--lo", "530", "--hi", "3761"],
     ])
     def test_zero_budget_honoured(self, argv, capsys, monkeypatch):
         # The option overrides a budget set in the environment.
@@ -179,19 +180,20 @@ class TestCheckpoint:
 
         ckpt = str(tmp_path / "run.ckpt")
         calls = {"n": 0}
-        real = cli._w_thm0
+        claim = cli._GRIDS["verify"]["thm0"]
 
-        def flaky(point):
+        def flaky(params, point):
             calls["n"] += 1
             if calls["n"] > 5:
                 raise KeyboardInterrupt
-            return real(point)
+            return claim.worker(params, point)
 
-        monkeypatch.setattr(cli, "_w_thm0", flaky)
+        monkeypatch.setitem(cli._GRIDS["verify"], "thm0",
+                            claim._replace(worker=flaky))
         with pytest.raises(KeyboardInterrupt):
             run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
         capsys.readouterr()
-        monkeypatch.setattr(cli, "_w_thm0", real)
+        monkeypatch.setitem(cli._GRIDS["verify"], "thm0", claim)
 
         code, out, _ = run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
         assert code == 0
@@ -203,10 +205,12 @@ class TestCheckpoint:
         assert code == 0
         done = len(open(ckpt).read().splitlines())
 
-        def boom(point):  # pragma: no cover - must never run
+        def boom(params, point):  # pragma: no cover - must never run
             raise AssertionError("resumed run recomputed a finished point")
 
-        monkeypatch.setattr(cli, "_w_thm0", boom)
+        claim = cli._GRIDS["verify"]["thm0"]
+        monkeypatch.setitem(cli._GRIDS["verify"], "thm0",
+                            claim._replace(worker=boom))
         code, out, _ = run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
         assert code == 0
         assert len(open(ckpt).read().splitlines()) == done
@@ -269,6 +273,17 @@ class TestCheckpoint:
         _, err = capsys.readouterr()
         assert "error: checkpoint written under degree budget 50, not 100000" in err
 
+    def test_header_without_degree_budget_refused(self, tmp_path, capsys):
+        # Written before the degree budget entered the fingerprint.
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_text(json.dumps({"engine_version": cli.__version__,
+                                    "fingerprint": "0" * 64}) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert "predates degree-budget fingerprints; delete it" in err
+
     def test_degree_budget_not_in_report(self, tmp_path, capsys):
         argv = ["verify", "thm3", "--n-max", "2"]
         _, plain, _ = run_cli(argv, capsys)
@@ -308,6 +323,13 @@ class TestConj:
         assert records[-1]["partial"] is True
         assert records[-1]["record_count"] == 1
         assert "error: expansion degree" in err
+
+    def test_c330n88n_n_zero_refused(self, capsys):
+        code, out, err = run_cli(
+            ["conj", "c330n88n", "--n", "0", "--n-max", "2"], capsys)
+        assert code == 64
+        assert out == ""
+        assert "error: require n >= 1" in err
 
     def test_oddp2(self, capsys):
         code, out, _ = run_cli(
@@ -349,6 +371,19 @@ class TestQbinomTheta:
         rec = parse_jsonl(out)[0]
         assert rec["prime_count"] == 2
         assert abs(rec["theta"] - 2.302585092994046) < 1e-12
+
+
+class TestInternalCheck:
+    def test_failed_cross_check_exit_70(self, capsys, monkeypatch):
+        from divcert import core
+        monkeypatch.setattr(core, "_carry_count", lambda a, b, p: -1)
+        code, out, err = run_cli(
+            ["verify", "thm0", "--a-max", "1", "--b-max", "1", "--n-max", "2"],
+            capsys)
+        assert code == 70
+        assert out == ""
+        assert ("error: internal check failed: "
+                "Legendre and Kummer routes disagree") in err
 
 
 class TestUsageErrors:
@@ -435,6 +470,13 @@ def test_environment_table_matches_source():
     table = set(re.findall(r"^\| `(DIVCERT_[A-Z_]+)`",
                            (root / "README.md").read_text(), re.MULTILINE))
     assert read == table == {"DIVCERT_BUDGET_DEGREE", "DIVCERT_BUDGET_PRIME"}
+
+
+def test_readme_grid_ids_match_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command in ("verify", "conj"):
+        listed = re.search(rf"`{command}` \(([^)]*)\)", readme).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(cli._GRIDS[command])
 
 
 class TestEntryPoint:
