@@ -414,9 +414,10 @@ def _load_fab_cache(path: str) -> dict[str, dict]:
     Each line after the versioned header is {"key": params, "record": record},
     so an entry answers only the exact parameters it was computed for.  A
     tail line that is not such an entry (a torn write, or a result stored
-    without its n_cap) is dropped.  A missing file starts an empty cache.
+    without its n_cap) is dropped.  A missing or empty file starts an empty
+    cache.
     """
-    if os.path.exists(path):
+    if os.path.exists(path) and os.path.getsize(path):
         return dict(_read_log(path, "cache", lambda entry: (
             _record_dumps(entry["key"]), entry["record"])))
     with open(path, "w", encoding="utf-8") as fh:
@@ -477,6 +478,17 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         help="append-only checkpoint log; resumable")
 
 
+def _prime_cap(text: str) -> int:
+    """--p-cap: the largest prime searched; the sieve needs at least 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="divcert")
     parser.add_argument("--budget-degree", type=int,
@@ -511,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--p", type=int, default=3)
-    p.add_argument("--p-cap", type=int,
+    p.add_argument("--p-cap", type=_prime_cap,
                    default=divisibility.CONJ2_PRIME_CAP_DEFAULT)
     _add_grid(p)
     p.set_defaults(func=functools.partial(_cmd_grid, "conjecture_id"))

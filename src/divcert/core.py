@@ -309,8 +309,34 @@ def binom_valuation(m: int, k: int, p: int) -> ValuationCertificate:
         raise ValueError("require 0 <= k <= m")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    v = _legendre_sum(m, p) - _legendre_sum(k, p) - _legendre_sum(m - k, p)
-    carries = _carry_count(k, m - k, p)
+    return _valuation(m, k, p)
+
+
+def _valuation(m: int, k: int, p: int) -> ValuationCertificate:
+    """binom_valuation for 0 <= k <= m and a p the caller has proven prime.
+
+    One pass over the base-p digits of m, k and m - k: the running
+    quotients add up to Legendre's floor sums v_p(n!), the remainders to the
+    digit sums s_p(n), and each floor sum is checked against
+    (n - s_p(n)) / (p - 1).  The Kummer carry count is a separate route.
+    """
+    r = m - k
+    qm, qk, qr = m, k, r
+    vm = vk = vr = sm = sk = sr = 0
+    while qm:
+        qm, dm = divmod(qm, p)
+        qk, dk = divmod(qk, p)
+        qr, dr = divmod(qr, p)
+        vm += qm
+        vk += qk
+        vr += qr
+        sm += dm
+        sk += dk
+        sr += dr
+    assert ((p - 1) * vm == m - sm and (p - 1) * vk == k - sk
+            and (p - 1) * vr == r - sr), "floor and digit sums disagree"
+    v = vm - vk - vr
+    carries = _carry_count(k, r, p)
     assert v == carries, "Legendre and Kummer routes disagree"
     return ValuationCertificate(p, m, k, v, carries)
 
@@ -363,8 +389,9 @@ def divides_binomial(m: int, k: int, D: int) -> tuple[bool, list[ValuationCertif
         raise ValueError("modulus must be >= 1")
     verdict = True
     certificates = []
+    # The factorization has proven each of its primes.
     for p, e in factorize(D).factors:
-        cert = binom_valuation(m, k, p)
+        cert = _valuation(m, k, p)
         certificates.append(cert)
         if cert.valuation < e:
             verdict = False

@@ -6,9 +6,14 @@ gcd binomial quotient underlying all of them, the generalized q-Catalan
 polynomials, and the negative-coefficient pattern checker for the
 (1-q)^2/((1-q^{10n-1})(1-q^{15n-1})) [30n, 5n]_q family.
 
-Polynomiality is always decided on cyclotomic exponent vectors; dense
-coefficients are expanded only when a coefficient-level verdict
-(non-negativity, negative positions) is requested and within budget.
+Polynomiality is always decided on cyclotomic exponents: a family verdict
+reads only the exponents of Phi_d for d dividing a denominator index, and
+takes the degree in closed form (:func:`qpoly.polynomiality`).  The
+pattern checker and the q-Catalan family keep the full exponent vector,
+because they compare it with a closed form and with a second displayed
+form.  Dense coefficients are expanded only when a coefficient-level
+verdict (non-negativity, negative positions) is requested and within
+budget.
 """
 
 from __future__ import annotations
@@ -62,9 +67,7 @@ def _family_verdict(
     want_coefficients: bool,
     budget: int | None = None,
 ) -> QFamilyVerdict:
-    f = qpoly.expr_factorization(expr)
-    polynomial = qpoly.is_polynomial(f)
-    degree = f.degree() if polynomial else 0
+    polynomial, degree = qpoly.polynomiality(expr)
     nonneg = None
     negatives: tuple[tuple[int, int], ...] = ()
     if polynomial and want_coefficients:

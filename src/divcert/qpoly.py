@@ -7,7 +7,11 @@ predicates (reciprocal, unimodal, non-negative).
 The canonical internal form of a quotient expression is its cyclotomic
 exponent vector: the expression sign * prod_d Phi_d(q)**e_d is a polynomial
 iff every e_d is non-negative, which is decidable by floor arithmetic alone.
-Dense coefficients are only produced on demand by :func:`expand`.
+Only Phi_d with d dividing a denominator index can get a negative exponent,
+so :func:`polynomiality` decides a quotient on those exponents alone and
+gives its degree in closed form; the dense vector is built by
+:func:`expr_factorization` for callers that compare it.  Dense coefficients
+are only produced on demand by :func:`expand_expr` and :func:`expand`.
 """
 
 from __future__ import annotations
@@ -255,6 +259,27 @@ def expr_factorization(expr: QuotientExpr) -> CycloFactorization:
     return CycloFactorization({d: e for d, e in enumerate(exps) if e})
 
 
+def polynomiality(expr: QuotientExpr) -> tuple[bool, int]:
+    """(is a polynomial, degree) of a quotient expression; degree 0 if not.
+
+    The Gaussian factor's exponents are non-negative and each numerator
+    index t adds chi(d | t), so only a Phi_d with d dividing a denominator
+    index can go negative.  Its exact exponent is
+    floor(m/d) - floor(k/d) - floor((m-k)/d) plus the numerator indices d
+    divides, minus the denominator indices d divides.  The degree is
+    k(m-k) + sum(ms) - sum(ns), since 1-q^t has degree t.
+    """
+    m, k = expr.binom_m, expr.binom_k
+    r = m - k
+    for d in {d for t in expr.denominator_ns for d in _divisors(t)[1:]}:
+        e = m // d - k // d - r // d
+        e += sum(t % d == 0 for t in expr.numerator_ms)
+        e -= sum(t % d == 0 for t in expr.denominator_ns)
+        if e < 0:
+            return False, 0
+    return True, k * r + sum(expr.numerator_ms) - sum(expr.denominator_ns)
+
+
 def is_polynomial(f: CycloFactorization) -> bool:
     """True iff every stored exponent is non-negative."""
     return all(e >= 0 for e in f.exponents.values())
@@ -295,9 +320,8 @@ def expand(f: CycloFactorization, budget: int | None = None) -> IntPoly:
     for t, e in sorted(g.items()):
         for _ in range(max(e, 0)):
             coeffs = mul_one_minus_qt(coeffs, t)
-    for t, e in sorted(g.items()):
-        for _ in range(max(-e, 0)):
-            coeffs = div_one_minus_qt(coeffs, t)
+    coeffs = _exact_division(
+        coeffs, [t for t, e in sorted(g.items()) for _ in range(-e)])
     if sign < 0:
         coeffs = [-c for c in coeffs]
     result = IntPoly(coeffs)
@@ -311,11 +335,12 @@ def expand_expr(expr: QuotientExpr, budget: int | None = None) -> IntPoly:
     Equivalent to expand(expr_factorization(expr)) but skips the Moebius
     round-trip: the q-binomial is itself a balanced quotient of binomials
     1-q^t, so the expansion is 2k + |ms| multiplications and divisions.
+    Polynomiality and the degree come from :func:`polynomiality`, and the
+    normalized result's degree is asserted against that closed form.
     """
-    f = expr_factorization(expr)
-    if not is_polynomial(f):
+    polynomial, expected_degree = polynomiality(expr)
+    if not polynomial:
         raise ValueError("expansion requires a polynomial expression")
-    expected_degree = f.degree()
     limit = budget if budget is not None else degree_budget()
     if expected_degree > limit:
         raise BudgetExceededError(
@@ -326,13 +351,24 @@ def expand_expr(expr: QuotientExpr, budget: int | None = None) -> IntPoly:
         coeffs = mul_one_minus_qt(coeffs, t)
     for i in range(1, k + 1):
         coeffs = mul_one_minus_qt(coeffs, m - k + i)
-    for t in expr.denominator_ns:
-        coeffs = div_one_minus_qt(coeffs, t)
-    for i in range(1, k + 1):
-        coeffs = div_one_minus_qt(coeffs, i)
+    coeffs = _exact_division(coeffs, [*expr.denominator_ns, *range(1, k + 1)])
     result = IntPoly(coeffs)
     assert result.degree == expected_degree, "degree bookkeeping violated"
     return result
+
+
+def _exact_division(coeffs: list, ts: list[int]) -> list:
+    """Divide by each 1 - q^t in turn, once polynomiality has been decided.
+
+    A remainder then means the engine contradicts itself, so it is raised
+    as a failed internal check, not as bad input.
+    """
+    try:
+        for t in ts:
+            coeffs = div_one_minus_qt(coeffs, t)
+    except ValueError as exc:
+        raise AssertionError(f"expansion of a decided polynomial: {exc}") from exc
+    return coeffs
 
 
 def qbinom_poly(m: int, k: int, budget: int | None = None) -> IntPoly:

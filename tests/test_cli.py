@@ -97,6 +97,17 @@ class TestFab:
         assert parse_jsonl(out)[0]["n"] == 279
         assert "corrupt" in err
 
+    def test_cache_empty_file_starts_fresh(self, tmp_path, capsys):
+        cache = tmp_path / "fab.cache"
+        cache.write_text("")
+        _, uncached, _ = run_cli(["fab", "2", "3"], capsys)
+        code, out, _ = run_cli(["fab", "2", "3", "--cache", str(cache)], capsys)
+        assert code == 0
+        assert out == uncached
+        lines = cache.read_text().splitlines()
+        assert json.loads(lines[0])["kind"] == "fab-cache"
+        assert len(lines) == 2
+
     def test_cache_version_mismatch(self, tmp_path, capsys):
         cache = tmp_path / "fab.cache"
         cache.write_text('{"engine_version": "0.0.0", "kind": "fab-cache"}\n')
@@ -385,6 +396,21 @@ class TestInternalCheck:
         assert ("error: internal check failed: "
                 "Legendre and Kummer routes disagree") in err
 
+    def test_kernel_remainder_exit_70(self, capsys, monkeypatch):
+        # Polynomiality is decided before any expansion, so a remainder in
+        # an exact division is an engine fault, not a usage error.
+        from divcert import qpoly
+
+        def remainder(c, t):
+            raise ValueError("not divisible by 1 - q^t")
+
+        monkeypatch.setattr(qpoly, "div_one_minus_qt", remainder)
+        code, out, err = run_cli(["verify", "thm_kn", "--n-max", "1"], capsys)
+        assert code == 70
+        assert out == ""
+        assert ("error: internal check failed: expansion of a decided "
+                "polynomial: not divisible by 1 - q^t") in err
+
 
 class TestUsageErrors:
     def test_unknown_theorem(self, capsys):
@@ -396,6 +422,13 @@ class TestUsageErrors:
         code, _, err = run_cli(["fab", "0", "1"], capsys)
         assert code == 64
         assert "error" in err
+
+    def test_p_cap_below_two_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["conj", "conj2witness", "--p-cap", "1"], capsys)
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert "error: argument --p-cap: must be an integer >= 2" in err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -322,6 +322,20 @@ class TestDividesBinomial:
         assert not ok
         assert [c.p for c in certs] == [2, 5]
 
+    def test_one_primality_proof_per_prime(self, monkeypatch):
+        calls = []
+        real = core.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(core, "is_prime", counting)
+        ok, certs = core.divides_binomial(43 * 279, 7 * 279, 2 * 3 * 5 * 7)
+        assert calls == [2, 3, 5, 7]
+        assert [c.p for c in certs] == [2, 3, 5, 7]
+        assert ok == all(c.valuation >= 1 for c in certs)
+
     def test_agrees_with_exact_division(self):
         for m in range(0, 80):
             for k in range(0, m + 1, 3):

@@ -47,6 +47,18 @@ class TestVerifyQFamilies:
         # deg [330, 88]_q = 88 * 242; the quotient removes 65 - 1 degrees.
         assert by_id["330n:88n/66n-1"].degree == 88 * 242 + 1 - 65
 
+    def test_large_n_closed_form_degrees(self):
+        # Decided on the exponents of Phi_d for d dividing a denominator
+        # index, so n = 10^4 (degrees up to 2.1e10) stays cheap.
+        n = 10**4
+        verdicts = qdivisibility.verify_q_families(n, expand_coefficients=False)
+        # deg (1-q)/(1-q^{cn-1}) [mn, kn]_q = kn(mn-kn) + 1 - (cn-1).
+        assert [v.degree for v in verdicts[:-1]] == [
+            kc * n * (mc * n - kc * n) + 2 - c * n
+            for c, mc, kc in qdivisibility.SINGLE_QUOTIENT_FAMILIES]
+        assert verdicts[-1].degree == 125 * n * n - 25 * n + 4
+        assert all(v.polynomial and v.nonneg is None for v in verdicts)
+
     def test_q1_specializations(self):
         for n in (1, 2):
             for c, mc, kc in qdivisibility.SINGLE_QUOTIENT_FAMILIES:

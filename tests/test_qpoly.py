@@ -163,6 +163,20 @@ class TestExprFactorizationOracle:
             _expr_exponents_per_d(expr).items())
         assert f.sign == 1
 
+    @given(balanced_exprs())
+    @settings(max_examples=300)
+    def test_polynomiality_matches_exponent_vector(self, expr):
+        f = qpoly.expr_factorization(expr)
+        polynomial = qpoly.is_polynomial(f)
+        assert qpoly.polynomiality(expr) == (
+            polynomial, f.degree() if polynomial else 0)
+
+    def test_polynomiality_both_verdicts(self):
+        # (1-q)/(1-q^5) [12, 3]_q is a polynomial; (1-q)/(1-q^7) [4, 2]_q
+        # is not (e_7 = -1).
+        assert qpoly.polynomiality(QuotientExpr((1,), (5,), 12, 3)) == (True, 23)
+        assert qpoly.polynomiality(QuotientExpr((1,), (7,), 4, 2)) == (False, 0)
+
 
 class TestExpand:
     def test_qbinom_4_2(self):
