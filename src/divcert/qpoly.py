@@ -316,12 +316,9 @@ def expand(f: CycloFactorization, budget: int | None = None) -> IntPoly:
                 t = d // e
                 g[t] = g.get(t, 0) + mu * e_d
 
-    coeffs = [1]
-    for t, e in sorted(g.items()):
-        for _ in range(max(e, 0)):
-            coeffs = mul_one_minus_qt(coeffs, t)
-    coeffs = _exact_division(
-        coeffs, [t for t, e in sorted(g.items()) for _ in range(-e)])
+    powers = sorted(g.items())
+    coeffs = _binomial_quotient([t for t, e in powers for _ in range(e)],
+                                [t for t, e in powers for _ in range(-e)])
     if sign < 0:
         coeffs = [-c for c in coeffs]
     result = IntPoly(coeffs)
@@ -346,25 +343,26 @@ def expand_expr(expr: QuotientExpr, budget: int | None = None) -> IntPoly:
         raise BudgetExceededError(
             f"expansion degree {expected_degree} exceeds budget {limit}")
     m, k = expr.binom_m, expr.binom_k
-    coeffs = [1]
-    for t in expr.numerator_ms:
-        coeffs = mul_one_minus_qt(coeffs, t)
-    for i in range(1, k + 1):
-        coeffs = mul_one_minus_qt(coeffs, m - k + i)
-    coeffs = _exact_division(coeffs, [*expr.denominator_ns, *range(1, k + 1)])
-    result = IntPoly(coeffs)
+    result = IntPoly(_binomial_quotient(
+        [*expr.numerator_ms, *range(m - k + 1, m + 1)],
+        [*expr.denominator_ns, *range(1, k + 1)]))
     assert result.degree == expected_degree, "degree bookkeeping violated"
     return result
 
 
-def _exact_division(coeffs: list, ts: list[int]) -> list:
-    """Divide by each 1 - q^t in turn, once polynomiality has been decided.
+def _binomial_quotient(muls: list[int], divs: list[int]) -> list:
+    """Coefficients of prod (1 - q^t) over muls, exactly divided by
+    prod (1 - q^t) over divs, for a quotient already decided polynomial.
 
     A remainder then means the engine contradicts itself, so it is raised
-    as a failed internal check, not as bad input.
+    as a failed internal check, not as bad input.  Each pass replaces the
+    only reference to its input, so no earlier list outlives its pass.
     """
+    coeffs = [1]
+    for t in muls:
+        coeffs = mul_one_minus_qt(coeffs, t)
     try:
-        for t in ts:
+        for t in divs:
             coeffs = div_one_minus_qt(coeffs, t)
     except ValueError as exc:
         raise AssertionError(f"expansion of a decided polynomial: {exc}") from exc
