@@ -16,12 +16,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import __version__, divisibility, qdivisibility, qpoly
@@ -52,7 +50,10 @@ def _record_dumps(record: dict) -> str:
 def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
     """Identifies the question a checkpoint answers.  The degree budget is
     part of it: a record expanded under one budget may read nonneg null
-    under a smaller one."""
+    under a smaller one.  SHA-256, so existing checkpoints still resume;
+    hashlib is imported here because only checkpoints need it."""
+    import hashlib
+
     blob = _record_dumps({"command": command, "parameters": parameters,
                           "engine_version": __version__,
                           "budget_degree": budget_degree})
@@ -227,6 +228,9 @@ def _map_ordered(worker, points, width):
     if width <= 1:
         yield from map(worker, points)
         return
+    # Only --par above 1 pays for loading the process pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=width) as ex:
         chunk = max(1, len(points) // (width * 8)) if points else 1
         yield from ex.map(worker, points, chunksize=chunk)

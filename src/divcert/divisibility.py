@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import core
 from .errors import SearchExhaustedError
@@ -245,7 +244,8 @@ def negative_valuation_witness(
                 if m % p == 0 or (m * q) % 3 != 2:
                     continue
                 n = (m * q + 1) // 3
-                cert = core.binom_valuation((a + b) * n, a * n, p)
+                # The sieve proved p prime; Kummer still cross-checks.
+                cert = core._valuation((a + b) * n, a * n, p)
                 val = cert.valuation - e
                 if val < 0:
                     return Conj2Witness(a, b, p, n, e, val)
@@ -319,13 +319,16 @@ def verify_quotient_decomposition(a: int, b: int, n: int) -> bool:
     binom(an+bn, an)/(bn+1)
       = binom(an+bn, an-1) - ((a+b)/a) * binom(an+bn-1, an-2).
 
-    Expected true for all a, b, n >= 1 with an >= 2.
+    Expected true for all a, b, n >= 1 with an >= 2.  Both sides are
+    multiplied by a(bn+1), which is nonzero, so the check runs in integers
+    and is equivalent to the rational equality.
     """
     if min(a, b, n) < 1 or a * n < 2:
         raise ValueError("require a, b, n >= 1 and an >= 2")
-    lhs = Fraction(core.binom_exact((a + b) * n, a * n), b * n + 1)
-    rhs = (Fraction(core.binom_exact((a + b) * n, a * n - 1))
-           - Fraction(a + b, a) * core.binom_exact((a + b) * n - 1, a * n - 2))
+    m = (a + b) * n
+    lhs = a * core.binom_exact(m, a * n)
+    rhs = (b * n + 1) * (a * core.binom_exact(m, a * n - 1)
+                         - (a + b) * core.binom_exact(m - 1, a * n - 2))
     return lhs == rhs
 
 

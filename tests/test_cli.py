@@ -512,6 +512,51 @@ def test_readme_grid_ids_match_table():
         assert re.findall(r"`(\w+)`", listed) == list(cli._GRIDS[command])
 
 
+# Modules that only --par above 1 (the process pool) or --checkpoint
+# (hashlib) need; the engine itself loads none of them.
+_LAZY_MODULES = ("concurrent.futures", "multiprocessing", "hashlib",
+                 "fractions", "decimal")
+
+
+class TestColdImports:
+    @staticmethod
+    def _fresh(code):
+        """The last stdout line of `code` run in a fresh interpreter."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_serial_run_loads_no_pool_hashing_or_rationals(self):
+        loaded = f"[m for m in {_LAZY_MODULES!r} if m in sys.modules]"
+        # What a bare interpreter already loads, whatever its site setup.
+        baseline = self._fresh(f"import sys; print(' '.join({loaded}))").split()
+        result = json.loads(self._fresh(f"""
+import contextlib, io, json, sys
+from divcert import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+argv = ["verify", "thm3", "--n-max", "2"]
+serial = run(argv)
+loaded = {loaded}
+par = run(argv + ["--par", "2"])
+print(json.dumps({{"loaded": loaded, "serial": serial, "par": par,
+                  "pool": "concurrent.futures" in sys.modules}}))
+"""))
+        assert set(result["loaded"]) <= set(baseline)
+        assert result["serial"][0] == 0 and result["serial"][1]
+        # The pool, imported lazily in a cold process, gives the same bytes.
+        assert result["par"] == result["serial"]
+        assert result["pool"]
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +144,21 @@ class TestConj2Witness:
         with pytest.raises(SearchExhaustedError):
             divisibility.negative_valuation_witness(1, 1, p_cap=3, power_cap=2)
 
+    def test_sieve_primes_not_reproved(self, monkeypatch):
+        # Every candidate comes from the sieve, so no valuation re-runs a
+        # primality proof; the Kummer cross-check still runs in each one.
+        calls = []
+        real = core.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(core, "is_prime", counting)
+        w = divisibility.negative_valuation_witness(2, 2, p_cap=10**3)
+        assert (w.p, w.n, w.e) == (5, 17, 2)
+        assert calls == []
+
 
 class TestPrimeWindow:
     def test_example_530(self):
@@ -185,6 +201,21 @@ class TestDecomposition:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             divisibility.verify_quotient_decomposition(1, 1, 1)
+
+    def test_matches_rational_form(self):
+        # The identity as stated, in exact rationals.
+        def rational(a, b, n):
+            lhs = Fraction(math.comb((a + b) * n, a * n), b * n + 1)
+            rhs = (math.comb((a + b) * n, a * n - 1)
+                   - Fraction(a + b, a) * math.comb((a + b) * n - 1, a * n - 2))
+            return lhs == rhs
+
+        for a in range(1, 7):
+            for b in range(1, 7):
+                for n in range(1, 7):
+                    if a * n >= 2:
+                        assert (divisibility.verify_quotient_decomposition(a, b, n)
+                                == rational(a, b, n))
 
 
 class TestFirstFailingN:
