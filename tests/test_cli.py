@@ -512,8 +512,8 @@ def test_readme_grid_ids_match_table():
         assert re.findall(r"`(\w+)`", listed) == list(cli._GRIDS[command])
 
 
-# Modules that only --par above 1 (the process pool) or --checkpoint
-# (hashlib) need; the engine itself loads none of them.
+# What a serial run without a checkpoint has no use for: the process pool
+# (--par above 1), hashlib (--checkpoint) and rational arithmetic.
 _LAZY_MODULES = ("concurrent.futures", "multiprocessing", "hashlib",
                  "fractions", "decimal")
 
