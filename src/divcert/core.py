@@ -5,6 +5,11 @@ division factorization, Euler's totient, multiplicative orders, Legendre /
 Kummer valuations of factorials and binomials, base-p digit expansions and
 the Lucas product for binomials modulo a prime.
 
+Engine records (here and in the other engine modules) are immutable
+``NamedTuple``s: a record compares equal to the tuple of its fields, and a
+record that validates its fields does so in ``__new__``, on every path that
+builds one (``_make`` and ``_replace`` included).
+
 Divisibility of a binomial coefficient by a modulus is always decided
 through p-adic valuations of the factorials involved; the binomial itself
 is never materialized on that path.
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 
@@ -124,25 +129,31 @@ def _trial_division_prime(n: int) -> bool:  # pragma: no cover - huge inputs onl
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization: (prime, exponent) pairs, primes ascending."""
+class Factorization(NamedTuple("Factorization", [
+        ("factors", tuple[tuple[int, int], ...]), ("value", int)])):
+    """Complete prime factorization: (prime, exponent) pairs, primes ascending.
 
-    factors: tuple[tuple[int, int], ...]
-    value: int
+    The constructor proves every prime it is given.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, factors, value):
         prod = 1
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if e < 1 or p <= prev:
                 raise ValueError("factors must have ascending primes, exponents >= 1")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
             prod *= p ** e
-        if prod != self.value:
+        if prod != value:
             raise ValueError("factor product does not equal value")
+        return tuple.__new__(cls, (factors, value))
+
+    # _replace builds through _make, so it is checked as well.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # Trial-division primes are sieved once and extended on demand.
@@ -292,8 +303,7 @@ def _legendre_sum(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ValuationCertificate:
+class ValuationCertificate(NamedTuple):
     """v_p of binom(m, k), witnessed two ways (Legendre sums, Kummer carries)."""
 
     p: int

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .errors import SearchExhaustedError
@@ -24,8 +24,7 @@ FAB_SCAN_CAP_DEFAULT = 10**7
 CONJ2_PRIME_CAP_DEFAULT = 10**5
 
 
-@dataclass(frozen=True)
-class BoundInfo:
+class BoundInfo(NamedTuple):
     """Upper bound (p**s - 1)/(a+b) for the first failing n.
 
     p is the smallest prime dividing a but not b; s is the multiplicative
@@ -50,8 +49,7 @@ def fab_bound(a: int, b: int) -> BoundInfo | None:
     return None
 
 
-@dataclass(frozen=True)
-class FabResult:
+class FabResult(NamedTuple):
     """Verdict for the smallest n with (bn+1) not dividing binom(an+bn, an).
 
     verdict is "found" (with n and a per-prime certificate), "proven_zero"
@@ -131,8 +129,7 @@ def lucas_residue_family(
     return out
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
     label: str
     m: int
     k: int
@@ -140,8 +137,7 @@ class CongruenceCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CongruenceFamiliesVerdict:
+class CongruenceFamiliesVerdict(NamedTuple):
     n: int
     checks: tuple[CongruenceCheck, ...]
 
@@ -189,23 +185,30 @@ def verify_congruence_families(n: int) -> CongruenceFamiliesVerdict:
     return CongruenceFamiliesVerdict(n, tuple(checks))
 
 
-@dataclass(frozen=True)
-class Conj2Witness:
+class Conj2Witness(NamedTuple("Conj2Witness", [
+        ("a", int), ("b", int), ("p", int), ("n", int), ("e", int),
+        ("valuation", int)])):
     """A prime power p^e exactly dividing 3n-1 with
-    v_p(binom((a+b)n, an)/(3n-1)) < 0."""
+    v_p(binom((a+b)n, an)/(3n-1)) < 0.
 
-    a: int
-    b: int
-    p: int
-    n: int
-    e: int
-    valuation: int
+    The checks raise AssertionError explicitly, so they run under
+    ``python -O`` too.
+    """
 
-    def __post_init__(self):
-        modulus = 3 * self.n - 1
-        assert modulus % self.p ** self.e == 0
-        assert (modulus // self.p ** self.e) % self.p != 0
-        assert self.valuation < 0
+    __slots__ = ()
+
+    def __new__(cls, a, b, p, n, e, valuation):
+        modulus = 3 * n - 1
+        if modulus % p ** e:
+            raise AssertionError("p^e does not divide 3n-1")
+        if (modulus // p ** e) % p == 0:
+            raise AssertionError("p^(e+1) divides 3n-1")
+        if valuation >= 0:
+            raise AssertionError("witness valuation is not negative")
+        return tuple.__new__(cls, (a, b, p, n, e, valuation))
+
+    # _replace builds through _make, so it is checked as well.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # Inner search knobs for negative_valuation_witness: cofactors m tried for
@@ -255,8 +258,7 @@ def negative_valuation_witness(
         f"no witness for (a, b) = ({a}, {b}) with primes up to {p_cap}")
 
 
-@dataclass(frozen=True)
-class PrimeWindowReport:
+class PrimeWindowReport(NamedTuple):
     """Least prime == 2 (mod 3) in (x, 20x/19) for each integer x in a range."""
 
     entries: tuple[tuple[int, int], ...]
@@ -285,8 +287,7 @@ def prime_window_verify(x_lo: int, x_hi: int) -> PrimeWindowReport:
     return PrimeWindowReport(tuple(entries), tuple(failures), (x_lo, x_hi))
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(NamedTuple):
     """Sum of log p over primes p <= x with p == 2 (mod 3), with error bound."""
 
     x: int

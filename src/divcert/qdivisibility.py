@@ -19,34 +19,38 @@ budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import qpoly
 from .errors import BudgetExceededError
 from .qpoly import IntPoly, QuotientExpr
 
 
-@dataclass(frozen=True)
-class QFamilyVerdict:
+class QFamilyVerdict(NamedTuple("QFamilyVerdict", [
+        ("family_id", str), ("params", tuple[tuple[str, int], ...]),
+        ("polynomial", bool), ("nonneg", bool | None),
+        ("negative_positions", tuple[tuple[int, int], ...]), ("degree", int)])):
     """Polynomiality / non-negativity verdict for one family instance.
 
     nonneg is None when the coefficient expansion was skipped (not
     requested, or degree over budget); negative_positions is empty iff
-    nonneg is true.
+    nonneg is true.  The checks raise AssertionError explicitly, so they
+    run under ``python -O`` too.
     """
 
-    family_id: str
-    params: tuple[tuple[str, int], ...]
-    polynomial: bool
-    nonneg: bool | None
-    negative_positions: tuple[tuple[int, int], ...]
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nonneg:
-            assert self.polynomial
-        if self.nonneg is not None:
-            assert self.nonneg == (not self.negative_positions)
+    def __new__(cls, family_id, params, polynomial, nonneg,
+                negative_positions, degree):
+        if nonneg and not polynomial:
+            raise AssertionError("non-negative verdict on a non-polynomial")
+        if nonneg is not None and nonneg != (not negative_positions):
+            raise AssertionError("nonneg disagrees with the negative positions")
+        return tuple.__new__(cls, (family_id, params, polynomial, nonneg,
+                                   negative_positions, degree))
+
+    # _replace builds through _make, so it is checked as well.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # The six (1-q)/(1-q^{cn-1}) families: (c, m-multiplier, k-multiplier).

@@ -12,6 +12,11 @@ so :func:`polynomiality` decides a quotient on those exponents alone and
 gives its degree in closed form; the dense vector is built by
 :func:`expr_factorization` for callers that compare it.  Dense coefficients
 are only produced on demand by :func:`expand_expr` and :func:`expand`.
+
+:class:`CycloFactorization` and :class:`QuotientExpr` are immutable
+``NamedTuple``s, so each compares equal to the tuple of its fields; both
+validate their fields in ``__new__``.  A ``CycloFactorization()`` gets a
+fresh empty exponent map.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import core
 from ._kernels import div_one_minus_qt, mul_one_minus_qt
@@ -180,18 +185,23 @@ def _mobius(n: int) -> int:
     return mu
 
 
-@dataclass(frozen=True)
-class CycloFactorization:
+class CycloFactorization(NamedTuple("CycloFactorization", [
+        ("exponents", dict[int, int]), ("sign", int)])):
     """sign * prod_d Phi_d(q)**e_d, as a sparse exponent map."""
 
-    exponents: dict[int, int] = field(default_factory=dict)
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, exponents=None, sign=1):
+        if exponents is None:
+            exponents = {}
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if any(e == 0 for e in self.exponents.values()):
+        if any(e == 0 for e in exponents.values()):
             raise ValueError("stored exponents must be nonzero")
+        return tuple.__new__(cls, (exponents, sign))
+
+    # _replace builds through _make, so it is checked as well.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def degree(self) -> int:
         """Degree of the represented expression (may be meaningful only when
@@ -200,8 +210,9 @@ class CycloFactorization:
         return sum(e * phi[d] for d, e in self.exponents.items())
 
 
-@dataclass(frozen=True)
-class QuotientExpr:
+class QuotientExpr(NamedTuple("QuotientExpr", [
+        ("numerator_ms", tuple[int, ...]), ("denominator_ns", tuple[int, ...]),
+        ("binom_m", int), ("binom_k", int)])):
     """prod_i (1-q^{m_i}) / prod_j (1-q^{n_j}) * qbinom(binom_m, binom_k).
 
     The numerator and denominator multisets must be balanced (equal
@@ -209,18 +220,20 @@ class QuotientExpr:
     expressions are rejected rather than given a sign convention.
     """
 
-    numerator_ms: tuple[int, ...]
-    denominator_ns: tuple[int, ...]
-    binom_m: int
-    binom_k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.numerator_ms) != len(self.denominator_ns):
+    def __new__(cls, numerator_ms, denominator_ns, binom_m, binom_k):
+        if len(numerator_ms) != len(denominator_ns):
             raise ValueError("unbalanced quotient expression")
-        if any(t < 1 for t in self.numerator_ms + self.denominator_ns):
+        if any(t < 1 for t in numerator_ms + denominator_ns):
             raise ValueError("q-integer indices must be positive")
-        if not 0 <= self.binom_k <= self.binom_m:
+        if not 0 <= binom_k <= binom_m:
             raise ValueError("require 0 <= binom_k <= binom_m")
+        return tuple.__new__(
+            cls, (numerator_ms, denominator_ns, binom_m, binom_k))
+
+    # _replace builds through _make, so it is checked as well.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def qbinom_factorization(m: int, k: int) -> CycloFactorization:

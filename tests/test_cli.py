@@ -513,9 +513,12 @@ def test_readme_grid_ids_match_table():
 
 
 # What a serial run without a checkpoint has no use for: the process pool
-# (--par above 1), hashlib (--checkpoint) and rational arithmetic.
+# (--par above 1), hashlib (--checkpoint), rational arithmetic, and the
+# dataclass machinery with the inspect module it loads (records are
+# NamedTuples).
 _LAZY_MODULES = ("concurrent.futures", "multiprocessing", "hashlib",
-                 "fractions", "decimal")
+                 "fractions", "decimal", "dataclasses", "inspect")
+_LOADED = f"[m for m in {_LAZY_MODULES!r} if m in sys.modules]"
 
 
 class TestColdImports:
@@ -529,10 +532,18 @@ class TestColdImports:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
+    def _baseline(self):
+        """What a bare interpreter already loads, whatever its site setup."""
+        return set(self._fresh(f"import sys; print(' '.join({_LOADED}))").split())
+
+    @pytest.mark.parametrize("module", ["divisibility", "qdivisibility"])
+    def test_engine_import_loads_no_dataclasses(self, module):
+        loaded = self._fresh(
+            f"import sys; from divcert import {module}; print(' '.join({_LOADED}))")
+        assert set(loaded.split()) <= self._baseline()
+
     def test_serial_run_loads_no_pool_hashing_or_rationals(self):
-        loaded = f"[m for m in {_LAZY_MODULES!r} if m in sys.modules]"
-        # What a bare interpreter already loads, whatever its site setup.
-        baseline = self._fresh(f"import sys; print(' '.join({loaded}))").split()
+        baseline = self._baseline()
         result = json.loads(self._fresh(f"""
 import contextlib, io, json, sys
 from divcert import cli
@@ -545,12 +556,12 @@ def run(argv):
 
 argv = ["verify", "thm3", "--n-max", "2"]
 serial = run(argv)
-loaded = {loaded}
+loaded = {_LOADED}
 par = run(argv + ["--par", "2"])
 print(json.dumps({{"loaded": loaded, "serial": serial, "par": par,
                   "pool": "concurrent.futures" in sys.modules}}))
 """))
-        assert set(result["loaded"]) <= set(baseline)
+        assert set(result["loaded"]) <= baseline
         assert result["serial"][0] == 0 and result["serial"][1]
         # The pool, imported lazily in a cold process, gives the same bytes.
         assert result["par"] == result["serial"]

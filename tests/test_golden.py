@@ -1,9 +1,13 @@
 """Frozen CLI outputs: each case in golden/cases.json runs through cli.main
 in process, and its stdout must equal golden/<id>.out byte for byte, with
 the recorded exit code.  Cases that share an id (a --par run and its serial
-twin) share one expected output."""
+twin) share one expected output.  A subset also runs under python -O, where
+bare asserts are stripped, and must give the same bytes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +26,19 @@ def test_golden(case, capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert out.encode() == (GOLDEN / f"{case['id']}.out").read_bytes()
     assert code == case["exit"]
+
+
+# Integer, congruence-family and expanded q-family runs.
+OPTIMIZED_IDS = ("fab-found", "verify-thm3", "verify-thm4-expand")
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c["id"] in OPTIMIZED_IDS],
+                         ids=lambda c: " ".join(c["argv"]))
+def test_golden_optimized(case):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("DIVCERT_BUDGET_")}
+    env["PYTHONPATH"] = str(GOLDEN.parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-m", "divcert.cli", *case["argv"]],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.stdout == (GOLDEN / f"{case['id']}.out").read_bytes()
+    assert proc.returncode == case["exit"]
