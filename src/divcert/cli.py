@@ -14,7 +14,6 @@ exhausted search, 3 partial results due to a budget, 64 usage error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -22,7 +21,7 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from . import __version__, divisibility, qdivisibility, qpoly
+from . import __version__, core, divisibility, qdivisibility, qpoly
 from .errors import BudgetExceededError, SearchExhaustedError
 
 EXIT_OK = 0
@@ -231,7 +230,10 @@ def _map_ordered(worker, points, width):
     # Only --par above 1 pays for loading the process pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=width) as ex:
+    # Workers start with the budgets of this call, however they are started.
+    with ProcessPoolExecutor(max_workers=width, initializer=_set_budgets,
+                             initargs=(core.prime_budget,
+                                       qpoly.degree_budget)) as ex:
         chunk = max(1, len(points) // (width * 8)) if points else 1
         yield from ex.map(worker, points, chunksize=chunk)
 
@@ -303,7 +305,7 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker):
     before the last point; the records finished before it are kept (and
     checkpointed).
     """
-    budget_degree = qpoly.degree_budget()
+    budget_degree = qpoly.degree_budget
     records: list[dict] = []
     checkpoint = args.checkpoint
     fh = None
@@ -557,41 +559,45 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-@contextlib.contextmanager
-def _budgets(args):
-    """Export the budget options to the environment the engine (and any
-    worker process) reads, for the duration of one call only."""
-    saved = {}
-    for var, value in (("DIVCERT_BUDGET_DEGREE", args.budget_degree),
-                       ("DIVCERT_BUDGET_PRIME", args.budget_prime)):
-        if value is not None:
-            saved[var] = os.environ.get(var)
-            os.environ[var] = str(value)
+def _set_budgets(prime: int, degree: int) -> None:
+    """Put the engine's budgets in force in this process."""
+    core.prime_budget = prime
+    qpoly.degree_budget = degree
+
+
+def _budget(option: int | None, var: str, default: int) -> int:
+    """The option if given, else the environment variable, else the default."""
+    if option is not None:
+        return option
     try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        return int(os.environ.get(var, default))
+    except ValueError:
+        raise ValueError(f"{var} must be an integer") from None
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.monotonic()
-    with _budgets(args):
-        try:
-            code = args.func(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except AssertionError as exc:
-            print(f"error: internal check failed: {exc}", file=sys.stderr)
-            return EXIT_SOFTWARE
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = EXIT_PARTIAL
+    # The budgets hold for this call only.
+    saved = core.prime_budget, qpoly.degree_budget
+    try:
+        _set_budgets(
+            _budget(args.budget_prime, "DIVCERT_BUDGET_PRIME",
+                    core.SIEVE_BUDGET_DEFAULT),
+            _budget(args.budget_degree, "DIVCERT_BUDGET_DEGREE",
+                    qpoly.DEGREE_BUDGET_DEFAULT))
+        code = args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_PARTIAL
+    finally:
+        _set_budgets(*saved)
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

@@ -13,12 +13,22 @@ builds one (``_make`` and ``_replace`` included).
 Divisibility of a binomial coefficient by a modulus is always decided
 through p-adic valuations of the factorials involved; the binomial itself
 is never materialized on that path.
+
+:func:`factorize` proves each modulus once per process: its results are
+kept in a bounded memo, and a ``Factorization`` is immutable, so one
+instance is shared by every caller.  The memo sits behind the per-call
+checks, so a call is refused on its argument, its ceiling and the sieve it
+needs against :data:`prime_budget`, whether its answer is cached or not.
+
+The budgets are module state: :data:`prime_budget` here and
+``qpoly.degree_budget``.  The CLI sets both for the length of one call and
+restores them; a library caller may assign them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import threading
 from typing import NamedTuple
 
@@ -30,6 +40,12 @@ FACTOR_CEILING_DEFAULT = 10**8
 
 # Sieve memory budget (one byte per candidate).
 SIEVE_BUDGET_DEFAULT = 10**8
+
+# The sieve budget in force: no sieve runs past it.
+prime_budget = SIEVE_BUDGET_DEFAULT
+
+# Distinct inputs whose factorization factorize() keeps.
+_FACTOR_MEMO_SIZE = 4096
 
 # binom_exact() is an oracle for small instances only.
 BINOM_EXACT_BUDGET_DEFAULT = 100_000
@@ -56,10 +72,6 @@ _MR_TIERS = (
 )
 
 
-def _sieve_budget() -> int:
-    return int(os.environ.get("DIVCERT_BUDGET_PRIME", SIEVE_BUDGET_DEFAULT))
-
-
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor; gcd(a, 0) = a.  Rejects gcd(0, 0)."""
     if a == 0 and b == 0:
@@ -71,7 +83,7 @@ def primes_up_to(limit: int, budget: int | None = None) -> list[int]:
     """All primes <= limit, ascending, by Eratosthenes sieve."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if limit > (budget if budget is not None else _sieve_budget()):
+    if limit > (budget if budget is not None else prime_budget):
         raise BudgetExceededError(f"sieve limit {limit} exceeds budget")
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -156,34 +168,53 @@ class Factorization(NamedTuple("Factorization", [
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-# Trial-division primes are sieved once and extended on demand.
+# Trial-division primes are sieved once and extended on demand, never past
+# the prime budget.
 _small_primes: list[int] = []
 _small_primes_limit = 0
 _small_primes_lock = threading.Lock()
 
 
 def _trial_primes(limit: int) -> list[int]:
+    """The shared primes up to at least limit; limit <= prime_budget."""
     global _small_primes, _small_primes_limit
     if limit <= _small_primes_limit:
         return _small_primes
     with _small_primes_lock:
         if limit > _small_primes_limit:
-            new_limit = max(limit, 1024, 2 * _small_primes_limit)
+            new_limit = min(max(limit, 1024, 2 * _small_primes_limit),
+                            prime_budget)
             _small_primes = primes_up_to(new_limit)
             _small_primes_limit = new_limit
     return _small_primes
 
 
 def factorize(n: int, ceiling: int = FACTOR_CEILING_DEFAULT) -> Factorization:
-    """Prime factorization by trial division; n = 1 gives an empty list."""
+    """Prime factorization by trial division; n = 1 gives an empty list.
+
+    Every call checks n, the ceiling and the sieve trial division needs
+    (the primes up to isqrt(n) + 1) against the prime budget; only then is
+    the answer looked up, so a refusal never depends on earlier calls.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > ceiling:
         raise BudgetExceededError(f"factorize input {n} exceeds ceiling {ceiling}")
+    if math.isqrt(n) + 1 > prime_budget:
+        raise BudgetExceededError(
+            f"factorize input {n} needs a sieve past budget {prime_budget}")
+    return _factorize(n)
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def _factorize(n: int) -> Factorization:
+    """factorize(n) for an n its caller has checked; each distinct n has
+    its primes proven once while it stays in the memo."""
     value = n
     out = []
-    for p in _trial_primes(math.isqrt(n) + 1):
-        if p * p > n:
+    root = math.isqrt(n)
+    for p in _trial_primes(root + 1):
+        if p > root:
             break
         if n % p == 0:
             e = 0
@@ -191,6 +222,7 @@ def factorize(n: int, ceiling: int = FACTOR_CEILING_DEFAULT) -> Factorization:
                 n //= p
                 e += 1
             out.append((p, e))
+            root = math.isqrt(n)
     if n > 1:
         out.append((n, 1))
     return Factorization(tuple(out), value)

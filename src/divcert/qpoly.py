@@ -15,15 +15,20 @@ are only produced on demand by :func:`expand_expr` and :func:`expand`.
 
 :class:`CycloFactorization` and :class:`QuotientExpr` are immutable
 ``NamedTuple``s, so each compares equal to the tuple of its fields; both
-validate their fields in ``__new__``.  A ``CycloFactorization()`` gets a
-fresh empty exponent map.
+validate their fields in ``__new__``.  A ``CycloFactorization`` holds a
+read-only copy of the exponent map it is given, so later changes to the
+caller's dict cannot undo its checks; the copy still compares equal to a
+plain dict.
+
+:data:`degree_budget` is module state, like ``core.prime_budget``: the CLI
+sets it for the length of one call, and a library caller may assign it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
+import types
 from typing import NamedTuple
 
 from . import core
@@ -32,9 +37,8 @@ from .errors import BudgetExceededError
 
 DEGREE_BUDGET_DEFAULT = 10**5
 
-
-def degree_budget() -> int:
-    return int(os.environ.get("DIVCERT_BUDGET_DEGREE", DEGREE_BUDGET_DEFAULT))
+# The degree budget in force for expansions called without their own.
+degree_budget = DEGREE_BUDGET_DEFAULT
 
 
 class IntPoly:
@@ -186,14 +190,16 @@ def _mobius(n: int) -> int:
 
 
 class CycloFactorization(NamedTuple("CycloFactorization", [
-        ("exponents", dict[int, int]), ("sign", int)])):
-    """sign * prod_d Phi_d(q)**e_d, as a sparse exponent map."""
+        ("exponents", types.MappingProxyType), ("sign", int)])):
+    """sign * prod_d Phi_d(q)**e_d, as a sparse exponent map.
+
+    The map is a read-only copy of the one given.
+    """
 
     __slots__ = ()
 
     def __new__(cls, exponents=None, sign=1):
-        if exponents is None:
-            exponents = {}
+        exponents = types.MappingProxyType(dict(exponents or {}))
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if any(e == 0 for e in exponents.values()):
@@ -309,7 +315,7 @@ def expand(f: CycloFactorization, budget: int | None = None) -> IntPoly:
     if not is_polynomial(f):
         raise ValueError("expansion requires a polynomial (all exponents >= 0)")
     expected_degree = f.degree()
-    limit = budget if budget is not None else degree_budget()
+    limit = budget if budget is not None else degree_budget
     if expected_degree > limit:
         raise BudgetExceededError(
             f"expansion degree {expected_degree} exceeds budget {limit}")
@@ -351,7 +357,7 @@ def expand_expr(expr: QuotientExpr, budget: int | None = None) -> IntPoly:
     polynomial, expected_degree = polynomiality(expr)
     if not polynomial:
         raise ValueError("expansion requires a polynomial expression")
-    limit = budget if budget is not None else degree_budget()
+    limit = budget if budget is not None else degree_budget
     if expected_degree > limit:
         raise BudgetExceededError(
             f"expansion degree {expected_degree} exceeds budget {limit}")
@@ -389,7 +395,7 @@ def qbinom_poly(m: int, k: int, budget: int | None = None) -> IntPoly:
     """
     if not 0 <= k <= m:
         raise ValueError("require 0 <= k <= m")
-    limit = budget if budget is not None else degree_budget()
+    limit = budget if budget is not None else degree_budget
     if k * (m - k) > limit:
         raise BudgetExceededError(
             f"q-binomial degree {k * (m - k)} exceeds budget {limit}")

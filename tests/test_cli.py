@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from divcert import cli
+from divcert import cli, core, qpoly
 
 
 def run_cli(argv, capsys):
@@ -149,6 +149,7 @@ class TestVerify:
         ["--budget-degree", "0", "verify", "thm4", "--n-max", "1", "--expand"],
         ["--budget-prime", "0", "theta", "10"],
         ["--budget-prime", "0", "primes", "--lo", "530", "--hi", "3761"],
+        ["--budget-prime", "0", "fab", "7", "36"],
     ])
     def test_zero_budget_honoured(self, argv, capsys, monkeypatch):
         # The option overrides a budget set in the environment.
@@ -157,11 +158,40 @@ class TestVerify:
         code, _, _ = run_cli(argv, capsys)
         assert code == 3
 
+    def test_budget_refusal_does_not_depend_on_earlier_calls(self, capsys):
+        # The plain run sieves trial-division primes and fills the
+        # factorization memo; the budgeted run must still be refused.
+        assert run_cli(["fab", "7", "36"], capsys)[0] == 0
+        code, out, err = run_cli(["--budget-prime", "0", "fab", "7", "36"], capsys)
+        assert code == 3 and out == ""
+        assert "past budget 0" in err
+        assert run_cli(["fab", "7", "36"], capsys)[0] == 0
+
+    def test_budget_environment_read_per_call(self, capsys, monkeypatch):
+        argv = ["verify", "thm4", "--n-max", "1", "--expand"]
+        monkeypatch.setenv("DIVCERT_BUDGET_DEGREE", "0")
+        assert run_cli(argv, capsys)[0] == 3
+        monkeypatch.delenv("DIVCERT_BUDGET_DEGREE")
+        assert run_cli(argv, capsys)[0] == 0
+        monkeypatch.setenv("DIVCERT_BUDGET_PRIME", "many")
+        code, _, err = run_cli(["fab", "7", "36"], capsys)
+        assert code == 64 and "DIVCERT_BUDGET_PRIME must be an integer" in err
+
     def test_budget_option_does_not_leak(self, capsys):
         argv = ["verify", "thm4", "--n-max", "1", "--expand"]
         before = os.environ.get("DIVCERT_BUDGET_DEGREE")
+        budgets = core.prime_budget, qpoly.degree_budget
         assert run_cli(["--budget-degree", "0"] + argv, capsys)[0] == 3
+        assert run_cli(["--budget-prime", "0", "fab", "7", "36"], capsys)[0] == 3
         assert os.environ.get("DIVCERT_BUDGET_DEGREE") == before
+        assert (core.prime_budget, qpoly.degree_budget) == budgets
+        assert run_cli(argv, capsys)[0] == 0
+
+    def test_par_workers_get_the_budgets(self, capsys):
+        argv = ["verify", "thm0", "--a-max", "2", "--b-max", "2", "--n-max", "2",
+                "--par", "2"]
+        code, out, _ = run_cli(["--budget-prime", "0"] + argv, capsys)
+        assert code == 3 and parse_jsonl(out)[-1]["partial"] is True
         assert run_cli(argv, capsys)[0] == 0
 
     def test_table_output(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -199,6 +200,74 @@ class TestFactorize:
         core.factorize(10**9, ceiling=10**9)
 
 
+class TestFactorizeMemo:
+    def test_public_name_is_a_plain_function(self):
+        # A tracer wraps the module functions of this type, and a decorated
+        # name would hide every call from it.
+        assert type(core.factorize) is types.FunctionType
+
+    def test_warm_modulus_is_not_reproved(self, monkeypatch):
+        calls = []
+        real = core.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(core, "is_prime", counting)
+        core._factorize.cache_clear()
+        D = 2 * 3 * 5 * 7
+        first = core.divides_binomial(43 * 279, 7 * 279, D)
+        assert calls == [2, 3, 5, 7]
+        second = core.divides_binomial(43 * 279, 7 * 279, D)
+        assert calls == [2, 3, 5, 7]
+        assert first == second
+        assert core.factorize(D) is core.factorize(D)
+
+    def test_refusals_hold_for_cached_input(self, monkeypatch):
+        core.factorize(126)
+        core.factorize(10**8)
+        with pytest.raises(ValueError):
+            core.factorize(0)
+        with pytest.raises(BudgetExceededError):
+            core.factorize(126, ceiling=125)
+        # 126 needs the primes up to isqrt(126) + 1 = 12.
+        monkeypatch.setattr(core, "prime_budget", 11)
+        with pytest.raises(BudgetExceededError):
+            core.factorize(126)
+        monkeypatch.setattr(core, "prime_budget", 0)
+        with pytest.raises(BudgetExceededError):
+            core.factorize(1)
+        with pytest.raises(BudgetExceededError):
+            core.factorize(10**8)
+        monkeypatch.setattr(core, "prime_budget", 12)
+        assert core.factorize(126).factors == ((2, 1), (3, 2), (7, 1))
+
+    def test_cold_input_under_small_budget(self, monkeypatch):
+        # The shared trial-division table never grows past the budget, so a
+        # cold call needing no more than the budget allows is answered.
+        core._factorize.cache_clear()
+        monkeypatch.setattr(core, "_small_primes", [])
+        monkeypatch.setattr(core, "_small_primes_limit", 0)
+        monkeypatch.setattr(core, "prime_budget", 12)
+        assert core.factorize(121).factors == ((11, 2),)
+        assert core._small_primes_limit == 12
+
+    def test_memo_is_bounded(self):
+        core._factorize.cache_clear()
+        size = core._FACTOR_MEMO_SIZE
+        for n in range(1, size + 501):
+            f = core.factorize(n)
+            assert f.value == n
+            assert math.prod(p**e for p, e in f.factors) == n
+            assert all(core.is_prime(p) for p, _ in f.factors)
+        info = core._factorize.cache_info()
+        assert info.maxsize == size and info.currsize == size
+        # The evicted inputs are recomputed correctly.
+        assert core.factorize(1).factors == ()
+        assert core.factorize(360).factors == ((2, 3), (3, 2), (5, 1))
+
+
 class TestLegendreValuation:
     def test_examples(self):
         assert core.legendre_valuation_factorial(10, 2) == 8
@@ -331,6 +400,7 @@ class TestDividesBinomial:
             return real(n)
 
         monkeypatch.setattr(core, "is_prime", counting)
+        core._factorize.cache_clear()  # the cold path
         ok, certs = core.divides_binomial(43 * 279, 7 * 279, 2 * 3 * 5 * 7)
         assert calls == [2, 3, 5, 7]
         assert [c.p for c in certs] == [2, 3, 5, 7]

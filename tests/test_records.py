@@ -130,8 +130,19 @@ def test_cyclo_factorization_default_is_fresh():
     first, second = CycloFactorization(), CycloFactorization()
     assert first == ({}, 1)
     assert first.exponents is not second.exponents
-    first.exponents[2] = 1
+    with pytest.raises(TypeError):
+        first.exponents[2] = 1
     assert second.exponents == {}
+
+
+def test_cyclo_factorization_keeps_its_own_exponents():
+    # A later change to the caller's dict must not reach the record, whose
+    # constructor refused a zero exponent.
+    d = {2: 1}
+    f = CycloFactorization(d)
+    d[3] = 0
+    assert f.exponents == {2: 1} and f == ({2: 1}, 1)
+    assert f._replace(sign=-1) == ({2: 1}, -1)
 
 
 def _optimized(code):
