@@ -249,7 +249,8 @@ def _read_log(path: str, kind: str, entry, check=None) -> list:
 
     Refuses a header that is not a JSON object, comes from another engine
     version or fails `check`.  The first line that `entry` cannot read
-    starts a torn tail, which is dropped from the file with a warning.
+    (it raises KeyError, TypeError or ValueError) starts a torn or foreign
+    tail, which is dropped from the file with a warning.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -267,7 +268,7 @@ def _read_log(path: str, kind: str, entry, check=None) -> list:
     for i, line in enumerate(lines[1:], start=1):
         try:
             entries.append(entry(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             print(f"warning: dropping corrupt {kind} tail at line {i + 1}",
                   file=sys.stderr)
             _atomic_write(path, "\n".join(lines[:i]) + "\n")
@@ -275,8 +276,27 @@ def _read_log(path: str, kind: str, entry, check=None) -> list:
     return entries
 
 
+def _carries(value, fields: dict) -> bool:
+    """Is value a JSON object with each of `fields`, equal and of the same
+    type (so a stored true or 1.0 does not stand for a coordinate 1)?"""
+    return isinstance(value, dict) and all(
+        type(value.get(k)) is type(v) and value[k] == v
+        for k, v in fields.items())
+
+
 def _load_checkpoint(path: str, command: str, parameters: dict,
-                     budget_degree: int) -> list[dict]:
+                     budget_degree: int, points: list) -> list[dict]:
+    """The records of a checkpoint of this grid.  The i-th record must carry
+    the coordinates of the i-th point, and there are no more records than
+    points; the first that does not starts the dropped tail."""
+    unanswered = iter(points)
+
+    def record(value):
+        point = next(unanswered, None)
+        if point is None or not _carries(value, point):
+            raise ValueError("not a record of this grid")
+        return value
+
     def check(header):
         found = header.get("fingerprint")
         if found == _fingerprint(command, parameters, budget_degree):
@@ -288,7 +308,7 @@ def _load_checkpoint(path: str, command: str, parameters: dict,
             _refuse(f"checkpoint written under degree budget {written}, "
                     f"not {budget_degree}")
         _refuse("checkpoint belongs to a different command")
-    return _read_log(path, "checkpoint", lambda record: record, check)
+    return _read_log(path, "checkpoint", record, check)
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -314,7 +334,7 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker):
         fresh = not os.path.exists(checkpoint) or not os.path.getsize(checkpoint)
         if not fresh:
             records = _load_checkpoint(checkpoint, command, parameters,
-                                       budget_degree)
+                                       budget_degree, points)
         fh = open(checkpoint, "a", encoding="utf-8")
         if fresh:
             fh.write(_record_dumps({
@@ -414,18 +434,30 @@ def _cmd_fab(args) -> int:
     return EXIT_OK if record["verdict"] in ("found", "proven_zero") else EXIT_INCONCLUSIVE
 
 
+# The fields of the record _cmd_fab writes.
+_FAB_FIELDS = {"a", "b", "verdict", "n", "n_max", "bound"}
+
+
+def _fab_entry(entry: dict) -> tuple[str, dict]:
+    key, record = entry["key"], entry["record"]
+    if not (isinstance(key, dict) and isinstance(record, dict)
+            and record.keys() == _FAB_FIELDS
+            and _carries(record, {"a": key.get("a"), "b": key.get("b")})):
+        raise ValueError("not a fab cache entry")
+    return _record_dumps(key), record
+
+
 def _load_fab_cache(path: str) -> dict[str, dict]:
     """The entries of an append-only fab cache, keyed on all of (a, b, n_cap).
 
     Each line after the versioned header is {"key": params, "record": record},
     so an entry answers only the exact parameters it was computed for.  A
-    tail line that is not such an entry (a torn write, or a result stored
-    without its n_cap) is dropped.  A missing or empty file starts an empty
-    cache.
+    tail line that is not such an entry (a torn write, a result stored
+    without its n_cap, or a record that is not the fab record of its key)
+    is dropped.  A missing or empty file starts an empty cache.
     """
     if os.path.exists(path) and os.path.getsize(path):
-        return dict(_read_log(path, "cache", lambda entry: (
-            _record_dumps(entry["key"]), entry["record"])))
+        return dict(_read_log(path, "cache", _fab_entry))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_record_dumps({"engine_version": __version__,
                                 "kind": "fab-cache"}) + "\n")
@@ -450,7 +482,7 @@ def _cmd_qbinom(args) -> int:
         record = {"m": args.m, "k": args.k,
                   "exponents": {str(d): e for d, e in sorted(f.exponents.items())}}
     else:
-        poly = qpoly.qbinom_poly(args.m, args.k)
+        poly = qpoly.expand_expr(qpoly.QuotientExpr((), (), args.m, args.k))
         record = {"m": args.m, "k": args.k, "degree": poly.degree,
                   "coeffs": list(poly.coeffs)}
     _emit(args, "qbinom", params, [record], {})

@@ -1,9 +1,8 @@
 """Exact integer arithmetic primitives.
 
 Everything here is arbitrary-precision and deterministic: the sieve, trial
-division factorization, Euler's totient, multiplicative orders, Legendre /
-Kummer valuations of factorials and binomials, base-p digit expansions and
-the Lucas product for binomials modulo a prime.
+division factorization, Euler's totient, multiplicative orders, and
+Legendre / Kummer valuations of factorials and binomials.
 
 Engine records (here and in the other engine modules) are immutable
 ``NamedTuple``s: a record compares equal to the tuple of its fields, and a
@@ -70,13 +69,6 @@ _MR_TIERS = (
     (318_665_857_834_031_151_167_461, 12),
     (_MR_PROVEN_LIMIT, 13),
 )
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(a, 0) = a.  Rejects gcd(0, 0)."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def primes_up_to(limit: int, budget: int | None = None) -> list[int]:
@@ -296,21 +288,6 @@ def multiplicative_order(p: int, m: int) -> int:
     return s
 
 
-def base_p_digits(n: int, p: int) -> list[int]:
-    """Base-p digits of n, least significant first; n = 0 gives [0]."""
-    if p < 2:
-        raise ValueError("base must be >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return [0]
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return digits
-
-
 def legendre_valuation_factorial(n: int, p: int) -> int:
     """v_p(n!) by Legendre's floor sum, cross-checked via the digit-sum form."""
     if not is_prime(p):
@@ -392,22 +369,6 @@ def _carry_count(a: int, b: int, p: int) -> int:
         carry = 1 if da + db + carry >= p else 0
         count += carry
     return count
-
-
-def lucas_binom_mod_p(m: int, k: int, p: int) -> int:
-    """binom(m, k) mod p via the digitwise Lucas product."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 0 or k > m:
-        return 0
-    result = 1
-    while k or m:
-        m, dm = divmod(m, p)
-        k, dk = divmod(k, p)
-        if dk > dm:
-            return 0
-        result = result * (math.comb(dm, dk) % p) % p
-    return result
 
 
 def binom_exact(m: int, k: int, budget: int = BINOM_EXACT_BUDGET_DEFAULT) -> int:

@@ -101,34 +101,6 @@ def verify_reduced_modulus(a: int, b: int, n: int) -> bool:
     return ok
 
 
-def lucas_residue_family(
-    a: int, b: int, beta: int, p: int, r_max: int
-) -> list[tuple[int, int]]:
-    """Residues binom(an, bn+beta) mod p along the family n = (p^{r phi(a)}-1)/a.
-
-    Each returned residue is asserted to be +-1 mod p: the top argument is
-    all (p-1)-digits in base p, so the Lucas product collapses to a sign.
-    """
-    if not a > b >= 1:
-        raise ValueError("require a > b >= 1")
-    if math.gcd(p, a) != 1:
-        raise ValueError(f"gcd({p}, {a}) != 1")
-    if not core.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    phi = core.totient(a)
-    out = []
-    for r in range(1, r_max + 1):
-        top = pow(p, r * phi) - 1
-        assert top % a == 0
-        n = top // a
-        if not a * n > b * n + beta > 0:
-            continue
-        residue = core.lucas_binom_mod_p(a * n, b * n + beta, p)
-        assert residue in (1 % p, p - 1), "residue is not a unit sign"
-        out.append((n, residue))
-    return out
-
-
 class CongruenceCheck(NamedTuple):
     label: str
     m: int
@@ -347,26 +319,6 @@ def first_failing_n(p: int, a: int, b: int, n_max: int) -> int | None:
         if not ok:
             return n
     return None
-
-
-def surviving_pairs(
-    m: int, a_max: int, b_max: int, n_max: int
-) -> list[tuple[int, int]]:
-    """Pairs (a, b) with am > b such that (an-1) | binom(amn, bn) for all n <= n_max.
-
-    A modulus an-1 = 0 (only a = 1, n = 1) counts as a failure: a positive
-    binomial is never congruent to 0 modulo 0.
-    """
-    if m < 1:
-        raise ValueError("require m >= 1")
-    survivors = []
-    for a in range(1, a_max + 1):
-        for b in range(1, b_max + 1):
-            if a * m <= b:
-                continue
-            if _pair_survives(m, a, b, n_max):
-                survivors.append((a, b))
-    return survivors
 
 
 def _pair_survives(m: int, a: int, b: int, n_max: int) -> bool:

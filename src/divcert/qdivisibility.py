@@ -1,9 +1,9 @@
 """q-side divisibility families.
 
 The seven quotient families of q-binomials by q-integers, the
-gcd-strengthened central quotient, the two-route B_{n,k} polynomials, the
-gcd binomial quotient underlying all of them, the generalized q-Catalan
-polynomials, and the negative-coefficient pattern checker for the
+gcd-strengthened central quotient, the gcd binomial quotient underlying
+them, the gcd q-Catalan family with its two displayed forms, and the
+negative-coefficient pattern checker for the
 (1-q)^2/((1-q^{10n-1})(1-q^{15n-1})) [30n, 5n]_q family.
 
 Polynomiality is always decided on cyclotomic exponents: a family verdict
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import qpoly
 from .errors import BudgetExceededError
-from .qpoly import IntPoly, QuotientExpr
+from .qpoly import QuotientExpr
 
 
 class QFamilyVerdict(NamedTuple("QFamilyVerdict", [
@@ -124,28 +124,6 @@ def verify_gcd_central_quotient(n: int, k: int) -> QFamilyVerdict:
         "gcd-central", (("n", n), ("k", k)), expr, True)
 
 
-def b_nk_poly(n: int, k: int) -> IntPoly:
-    """(1-q^k)/(1-q^n) [2n, n-k]_q, for 1 <= k <= n, by two routes.
-
-    The quotient definition and the difference form
-    [2n-1, n-k]_q - q^k [2n-1, n-k-1]_q are both computed and must agree;
-    coefficients are asserted non-negative.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("require 1 <= k <= n")
-    quotient = qpoly.expand_expr(QuotientExpr((k,), (n,), 2 * n, n - k))
-    first = qpoly.qbinom_poly(2 * n - 1, n - k)
-    if n - k - 1 >= 0:
-        second = qpoly.qbinom_poly(2 * n - 1, n - k - 1).shift(k)
-    else:
-        second = IntPoly()
-    difference = first - second
-    assert quotient == difference, "quotient and difference routes disagree"
-    ok, _ = qpoly.is_nonneg(quotient)
-    assert ok, "coefficients unexpectedly negative"
-    return quotient
-
-
 def gcd_binomial_quotient_check(a: int, b: int) -> QFamilyVerdict:
     """Verdict for (1-q^{gcd(a,b)})/(1-q^{a+b}) [a+b, a]_q.
 
@@ -180,22 +158,6 @@ def verify_gcd_catalan_family(a: int, b: int, n: int) -> QFamilyVerdict:
         "gcd-catalan", (("a", a), ("b", b), ("n", n)),
         verdict.polynomial, verdict.nonneg, verdict.negative_positions,
         verdict.degree)
-
-
-def generalized_q_catalan(a: int, b: int, n: int, budget: int | None = None) -> IntPoly:
-    """(1-q^a)/(1-q^{bn+1}) [an+bn, an]_q, expanded; non-negativity asserted.
-
-    gcd(an, bn+1) divides a (since gcd(n, bn+1) = 1), which is what makes
-    the expression a polynomial.
-    """
-    if min(a, b, n) < 1:
-        raise ValueError("require a, b, n >= 1")
-    assert a % math.gcd(a * n, b * n + 1) == 0
-    poly = qpoly.expand_expr(
-        QuotientExpr((a,), (b * n + 1,), a * n + b * n, a * n), budget=budget)
-    ok, _ = qpoly.is_nonneg(poly)
-    assert ok, "coefficients unexpectedly negative"
-    return poly
 
 
 def check_c330n88n(n: int, budget: int | None = None) -> tuple[int, list[tuple[int, int]]]:

