@@ -62,10 +62,11 @@ def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
 # ---------------------------------------------------------------------------
 # Grids.  Each claim that `verify` and `conj` check is a grid: points, each
 # a dict of named coordinates; a worker (parameters, point) -> record, the
-# point with its verdict; and a rule records -> (summary fields, exit code).
-# Every verify claim records the same options and shares one rule.  Workers
-# are module level, so they pickle for --par, and look engine functions up
-# per call, so wrappers installed on the engine modules (tracers) see them.
+# point with its verdict, a boolean under the claim's `verdict` field; and a
+# rule records -> (summary fields, exit code).  Every verify claim records
+# the same options, reads `ok` and shares one rule.  Workers are module
+# level, so they pickle for --par, and look engine functions up per call,
+# so wrappers installed on the engine modules (tracers) see them.
 
 _VERIFY_OPTIONS = ("n_max", "a_max", "b_max", "expand")
 
@@ -82,6 +83,7 @@ class _Claim(NamedTuple):
     worker: Callable[[dict, dict], dict]
     options: tuple[str, ...] = _VERIFY_OPTIONS  # recorded as parameters
     rule: Callable[[list[dict]], tuple[dict, int]] = _verify_rule
+    verdict: str = "ok"  # the boolean field of a record that `rule` reads
 
 
 def _ab(params):
@@ -207,15 +209,17 @@ _GRIDS = {
     },
     "conj": {
         "conj2witness": _Claim(_ab, _conj2, ("a_max", "b_max", "p_cap"),
-                               _every("found", "all_found")),
+                               _every("found", "all_found"), "found"),
         "oddp": _Claim(lambda params: [p for p in _ab(params) if p["b"] < p["a"]],
-                       _oddp, ("p", "a_max", "b_max", "n_max"), _oddp_rule),
+                       _oddp, ("p", "a_max", "b_max", "n_max"), _oddp_rule,
+                       "survives"),
         "oddp2": _Claim(lambda params: [
             p for p in _ab(params) if p["a"] * params["m"] > p["b"]],
-            _oddp2, ("m", "a_max", "b_max", "n_max"), _oddp2_rule),
+            _oddp2, ("m", "a_max", "b_max", "n_max"), _oddp2_rule, "survives"),
         "c330n88n": _Claim(lambda params: (
             _ns(params) if params["n"] is None else [{"n": params["n"]}]),
-            _c330, ("n", "n_max"), _every("matches_pattern", "all_match")),
+            _c330, ("n", "n_max"), _every("matches_pattern", "all_match"),
+            "matches_pattern"),
     },
 }
 
@@ -285,15 +289,17 @@ def _carries(value, fields: dict) -> bool:
 
 
 def _load_checkpoint(path: str, command: str, parameters: dict,
-                     budget_degree: int, points: list) -> list[dict]:
+                     budget_degree: int, points: list, verdict: str) -> list[dict]:
     """The records of a checkpoint of this grid.  The i-th record must carry
-    the coordinates of the i-th point, and there are no more records than
-    points; the first that does not starts the dropped tail."""
+    the coordinates of the i-th point and a boolean `verdict` field, and
+    there are no more records than points; the first that does not starts
+    the dropped tail."""
     unanswered = iter(points)
 
     def record(value):
         point = next(unanswered, None)
-        if point is None or not _carries(value, point):
+        if (point is None or not _carries(value, point)
+                or type(value.get(verdict)) is not bool):
             raise ValueError("not a record of this grid")
         return value
 
@@ -318,8 +324,10 @@ def _atomic_write(path: str, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _run_grid(args, command: str, parameters: dict, points: list, worker):
-    """Run a grid, optionally resuming from and appending to a checkpoint.
+def _run_grid(args, command: str, parameters: dict, points: list, worker,
+              verdict: str):
+    """Run a grid, optionally resuming from and appending to a checkpoint
+    whose records each carry a boolean `verdict` field.
 
     Returns the records, their JSON lines, and whether a budget ran out
     before the last point; the records finished before it are kept (and
@@ -334,7 +342,7 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker):
         fresh = not os.path.exists(checkpoint) or not os.path.getsize(checkpoint)
         if not fresh:
             records = _load_checkpoint(checkpoint, command, parameters,
-                                       budget_degree, points)
+                                       budget_degree, points, verdict)
         fh = open(checkpoint, "a", encoding="utf-8")
         if fresh:
             fh.write(_record_dumps({
@@ -369,7 +377,7 @@ def _cmd_grid(id_option: str, args) -> int:
     params = {id_option: claim_id, **{o: getattr(args, o) for o in claim.options}}
     records, lines, partial = _run_grid(
         args, args.command, params, claim.points(params),
-        functools.partial(claim.worker, params))
+        functools.partial(claim.worker, params), claim.verdict)
     summary, code = claim.rule(records)
     if partial:
         summary["partial"] = True
@@ -416,22 +424,57 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
+def _bound_fields(info) -> dict | None:
+    return None if info is None else {"p": info.p, "bound": info.bound, "s": info.s}
+
+
 def _cmd_fab(args) -> int:
     params = {"a": args.a, "b": args.b, "n_cap": args.n_cap}
     cache = _load_fab_cache(args.cache) if args.cache else {}
     record = cache.get(_record_dumps(params))
+    if record is not None and not _fab_hit_holds(record, args.a, args.b, args.n_cap):
+        print(f"warning: cache entry for fab {args.a} {args.b} fails its "
+              "re-check; recomputing", file=sys.stderr)
+        record = None
     if record is None:
         result = divisibility.f_ab(args.a, args.b, n_cap=args.n_cap)
-        info = divisibility.fab_bound(args.a, args.b)
         record = {"a": args.a, "b": args.b, "verdict": result.verdict,
                   "n": result.n, "n_max": result.n_max,
-                  "bound": None if info is None else
-                           {"p": info.p, "bound": info.bound, "s": info.s}}
+                  "bound": _bound_fields(result.bound)}
         if args.cache:
             with open(args.cache, "a", encoding="utf-8") as fh:
                 fh.write(_record_dumps({"key": params, "record": record}) + "\n")
     _emit(args, "fab", params, [record], {"verdict": record["verdict"]})
     return EXIT_OK if record["verdict"] in ("found", "proven_zero") else EXIT_INCONCLUSIVE
+
+
+def _fab_hit_holds(record: dict, a: int, b: int, n_cap: int | None) -> bool:
+    """Could f_ab(a, b, n_cap) have written this cached record?
+
+    The bound is recomputed, as an uncached run computes it; a found n must
+    lie in the scanned range and fail divisibility, which one
+    divides_binomial call decides.  That no smaller n fails is trusted.
+    """
+    info = divisibility.fab_bound(a, b)
+    verdict = record["verdict"]
+    expected = {"a": a, "b": b, "verdict": verdict, "n": None, "n_max": None,
+                "bound": _bound_fields(info)}
+    if info is None:
+        if verdict != "proven_zero":
+            return False
+    else:
+        cap = min(info.bound, divisibility.FAB_SCAN_CAP_DEFAULT
+                  if n_cap is None else n_cap)
+        if verdict == "inconclusive":
+            expected["n_max"] = cap
+        elif verdict == "found":
+            n = expected["n"] = record["n"]
+            if (type(n) is not int or not 1 <= n <= cap
+                    or core.divides_binomial((a + b) * n, a * n, b * n + 1)[0]):
+                return False
+        else:
+            return False
+    return _record_dumps(record) == _record_dumps(expected)
 
 
 # The fields of the record _cmd_fab writes.
@@ -477,12 +520,13 @@ def _cmd_primes(args) -> int:
 
 def _cmd_qbinom(args) -> int:
     params = {"m": args.m, "k": args.k, "exponents": args.exponents}
+    gaussian = qpoly.QuotientExpr((), (), args.m, args.k)
     if args.exponents:
-        f = qpoly.qbinom_factorization(args.m, args.k)
+        f = qpoly.expr_factorization(gaussian)
         record = {"m": args.m, "k": args.k,
                   "exponents": {str(d): e for d, e in sorted(f.exponents.items())}}
     else:
-        poly = qpoly.expand_expr(qpoly.QuotientExpr((), (), args.m, args.k))
+        poly = qpoly.expand_expr(gaussian)
         record = {"m": args.m, "k": args.k, "degree": poly.degree,
                   "coeffs": list(poly.coeffs)}
     _emit(args, "qbinom", params, [record], {})

@@ -19,9 +19,12 @@ instance is shared by every caller.  The memo sits behind the per-call
 checks, so a call is refused on its argument, its ceiling and the sieve it
 needs against :data:`prime_budget`, whether its answer is cached or not.
 
-The budgets are module state: :data:`prime_budget` here and
-``qpoly.degree_budget``.  The CLI sets both for the length of one call and
-restores them; a library caller may assign them.
+Every limit is a module value that a function reads when it is called;
+no call takes a limit of its own.  The budgets are :data:`prime_budget`
+here and ``qpoly.degree_budget``: the CLI sets both for the length of one
+call and restores them, and a library caller may assign them.  The fixed
+limits :data:`FACTOR_CEILING` and :data:`BINOM_EXACT_BUDGET` are read the
+same way.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import BudgetExceededError
 
 # Inputs to factorize() beyond this are rejected: trial division must stay
 # deterministic and fast, and nothing in the engine needs larger moduli.
-FACTOR_CEILING_DEFAULT = 10**8
+FACTOR_CEILING = 10**8
 
 # Sieve memory budget (one byte per candidate).
 SIEVE_BUDGET_DEFAULT = 10**8
@@ -47,7 +50,7 @@ prime_budget = SIEVE_BUDGET_DEFAULT
 _FACTOR_MEMO_SIZE = 4096
 
 # binom_exact() is an oracle for small instances only.
-BINOM_EXACT_BUDGET_DEFAULT = 100_000
+BINOM_EXACT_BUDGET = 100_000
 
 # Fixed Miller-Rabin witness set, proven deterministic for n < 3.317e24
 # (Sorenson & Webster).  Larger inputs fall back to trial division.
@@ -71,11 +74,11 @@ _MR_TIERS = (
 )
 
 
-def primes_up_to(limit: int, budget: int | None = None) -> list[int]:
+def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending, by Eratosthenes sieve."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if limit > (budget if budget is not None else prime_budget):
+    if limit > prime_budget:
         raise BudgetExceededError(f"sieve limit {limit} exceeds budget")
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -181,17 +184,19 @@ def _trial_primes(limit: int) -> list[int]:
     return _small_primes
 
 
-def factorize(n: int, ceiling: int = FACTOR_CEILING_DEFAULT) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Prime factorization by trial division; n = 1 gives an empty list.
 
-    Every call checks n, the ceiling and the sieve trial division needs
-    (the primes up to isqrt(n) + 1) against the prime budget; only then is
-    the answer looked up, so a refusal never depends on earlier calls.
+    Every call checks n against :data:`FACTOR_CEILING`, and the sieve trial
+    division needs (the primes up to isqrt(n) + 1) against the prime
+    budget; only then is the answer looked up, so a refusal never depends
+    on earlier calls.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    if n > ceiling:
-        raise BudgetExceededError(f"factorize input {n} exceeds ceiling {ceiling}")
+    if n > FACTOR_CEILING:
+        raise BudgetExceededError(
+            f"factorize input {n} exceeds ceiling {FACTOR_CEILING}")
     if math.isqrt(n) + 1 > prime_budget:
         raise BudgetExceededError(
             f"factorize input {n} needs a sieve past budget {prime_budget}")
@@ -220,42 +225,6 @@ def _factorize(n: int) -> Factorization:
     return Factorization(tuple(out), value)
 
 
-def totients_up_to(n: int) -> list[int]:
-    """[phi(0), phi(1), ..., phi(n)] by a sieve over primes; phi(0) = 0."""
-    if n < 0:
-        raise ValueError("totients_up_to requires n >= 0")
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # untouched by any smaller prime, so p is prime
-            for multiple in range(p, n + 1, p):
-                phi[multiple] -= phi[multiple] // p
-    return phi
-
-
-# The shared totient table is sieved once and extended on demand.
-_totients: list[int] = [0]
-_totients_limit = 0
-_totients_lock = threading.Lock()
-
-
-def totient_table(n: int) -> list[int]:
-    """Shared [phi(0), phi(1), ..., phi(N)] for some N >= n; read-only.
-
-    Grows by doubling, so a process sieves O(log n) times in all.
-    """
-    global _totients, _totients_limit
-    if n < 0:
-        raise ValueError("totient_table requires n >= 0")
-    if n <= _totients_limit:
-        return _totients
-    with _totients_lock:
-        if n > _totients_limit:
-            new_limit = max(n, 1024, 2 * _totients_limit)
-            _totients = totients_up_to(new_limit)
-            _totients_limit = new_limit
-    return _totients
-
-
 def totient(n: int) -> int:
     """Euler's totient, from the prime factorization of n."""
     if n < 1:
@@ -264,14 +233,6 @@ def totient(n: int) -> int:
     for p, _ in factorize(n).factors:
         result -= result // p
     return result
-
-
-def radical(n: int) -> int:
-    """Product of the distinct prime factors of n; radical(1) = 1."""
-    r = 1
-    for p, _ in factorize(n).factors:
-        r *= p
-    return r
 
 
 def multiplicative_order(p: int, m: int) -> int:
@@ -284,7 +245,9 @@ def multiplicative_order(p: int, m: int) -> int:
     for q, _ in factorize(s).factors:
         while s % q == 0 and pow(p, s // q, m) == 1:
             s //= q
-    assert pow(p, s, m) == 1 and totient(m) % s == 0
+    if pow(p, s, m) != 1 or totient(m) % s:
+        raise AssertionError(
+            f"order {s} of {p} mod {m} fails p^s == 1 or s | phi(m)")
     return s
 
 
@@ -308,7 +271,8 @@ def _legendre_sum(n: int, p: int) -> int:
     while r:
         r, d = divmod(r, p)
         digit_sum += d
-    assert v == (n - digit_sum) // (p - 1)
+    if v != (n - digit_sum) // (p - 1):
+        raise AssertionError("floor and digit sums disagree")
     return v
 
 
@@ -352,11 +316,13 @@ def _valuation(m: int, k: int, p: int) -> ValuationCertificate:
         sm += dm
         sk += dk
         sr += dr
-    assert ((p - 1) * vm == m - sm and (p - 1) * vk == k - sk
-            and (p - 1) * vr == r - sr), "floor and digit sums disagree"
+    if ((p - 1) * vm != m - sm or (p - 1) * vk != k - sk
+            or (p - 1) * vr != r - sr):
+        raise AssertionError("floor and digit sums disagree")
     v = vm - vk - vr
     carries = _carry_count(k, r, p)
-    assert v == carries, "Legendre and Kummer routes disagree"
+    if v != carries:
+        raise AssertionError("Legendre and Kummer routes disagree")
     return ValuationCertificate(p, m, k, v, carries)
 
 
@@ -371,12 +337,13 @@ def _carry_count(a: int, b: int, p: int) -> int:
     return count
 
 
-def binom_exact(m: int, k: int, budget: int = BINOM_EXACT_BUDGET_DEFAULT) -> int:
+def binom_exact(m: int, k: int) -> int:
     """Exact binomial coefficient; small-instance oracle only."""
     if k < 0 or k > m:
         raise ValueError("require 0 <= k <= m")
-    if m > budget:
-        raise BudgetExceededError(f"binom_exact argument {m} exceeds budget {budget}")
+    if m > BINOM_EXACT_BUDGET:
+        raise BudgetExceededError(
+            f"binom_exact argument {m} exceeds budget {BINOM_EXACT_BUDGET}")
     return math.comb(m, k)
 
 

@@ -44,7 +44,8 @@ def fab_bound(a: int, b: int) -> BoundInfo | None:
         if b % p:
             s = core.multiplicative_order(p, a + b)
             n = pow(p, s) - 1
-            assert n % (a + b) == 0
+            if n % (a + b):
+                raise AssertionError("a+b does not divide p^s - 1")
             return BoundInfo(p, n // (a + b), s)
     return None
 
@@ -55,6 +56,7 @@ class FabResult(NamedTuple):
     verdict is "found" (with n and a per-prime certificate), "proven_zero"
     (every prime factor of a divides b, so divisibility holds for all n), or
     "inconclusive" (the caller's scan cap undercut the theorem bound).
+    bound is fab_bound(a, b), which is None exactly for "proven_zero".
     """
 
     a: int
@@ -62,7 +64,7 @@ class FabResult(NamedTuple):
     verdict: str
     n: int | None = None
     n_max: int | None = None
-    bound_used: int | None = None
+    bound: BoundInfo | None = None
     certificate: tuple[core.ValuationCertificate, ...] | None = None
 
 
@@ -76,17 +78,16 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
     """
     if a < 1 or b < 1:
         raise ValueError("require a, b >= 1")
-    if b % core.radical(a) == 0:
-        return FabResult(a, b, "proven_zero")
     info = fab_bound(a, b)
-    assert info is not None
+    if info is None:
+        return FabResult(a, b, "proven_zero")
     cap = min(n_cap if n_cap is not None else FAB_SCAN_CAP_DEFAULT, info.bound)
     for n in range(1, cap + 1):
         ok, certs = core.divides_binomial((a + b) * n, a * n, b * n + 1)
         if not ok:
-            return FabResult(a, b, "found", n=n, bound_used=info.bound,
+            return FabResult(a, b, "found", n=n, bound=info,
                              certificate=tuple(certs))
-    return FabResult(a, b, "inconclusive", n_max=cap, bound_used=info.bound)
+    return FabResult(a, b, "inconclusive", n_max=cap, bound=info)
 
 
 def verify_reduced_modulus(a: int, b: int, n: int) -> bool:
@@ -136,7 +137,7 @@ def verify_congruence_families(n: int) -> CongruenceFamiliesVerdict:
     """Run the fixed congruence family checks at a given n; all expected true.
 
     Composite moduli are checked factor by factor; the two factors 10n-1 and
-    15n-1 are asserted coprime, so per-factor divisibility is equivalent to
+    15n-1 are checked coprime, so per-factor divisibility is equivalent to
     divisibility by the product.
     """
     if n < 1:
@@ -144,8 +145,8 @@ def verify_congruence_families(n: int) -> CongruenceFamiliesVerdict:
     checks = []
     for label, mc, kc, mod_coeffs in _CONGRUENCE_CHECKS:
         factors = [c * n - 1 for c in mod_coeffs]
-        if len(factors) > 1:
-            assert math.gcd(*factors) == 1
+        if len(factors) > 1 and math.gcd(*factors) != 1:
+            raise AssertionError(f"the moduli of {label} are not coprime")
         ok = True
         for modulus in factors:
             if modulus <= 1:
@@ -191,7 +192,6 @@ _CONJ2_POWER_CAP = 10**7
 
 def negative_valuation_witness(
     a: int, b: int, p_cap: int = CONJ2_PRIME_CAP_DEFAULT,
-    power_cap: int = _CONJ2_POWER_CAP,
 ) -> Conj2Witness:
     """First (p, n) with p == 2 (mod 3), p <= p_cap, p^e || 3n-1 and
     v_p(binom((a+b)n, an)) < e.
@@ -207,6 +207,7 @@ def negative_valuation_witness(
     if a < 1 or b < 1:
         raise ValueError("require a, b >= 1")
     primes = [p for p in core.primes_up_to(p_cap) if p % 3 == 2]
+    power_cap = _CONJ2_POWER_CAP
     e = 1
     while primes:
         alive = []
@@ -268,21 +269,21 @@ class ThetaValue(NamedTuple):
     prime_count: int
 
 
-def chebyshev_theta_3_2(x: int, budget: int | None = None) -> ThetaValue:
+def chebyshev_theta_3_2(x: int) -> ThetaValue:
     """Chebyshev theta on the residue class 2 mod 3.
 
     Exactly-rounded float summation (math.fsum) of log p terms; the tracked
     error bound covers one ulp per log evaluation.  For x >= 3761 the value
-    is asserted to lie strictly inside (0.49 x, 0.51 x) with margin beyond
+    is checked to lie strictly inside (0.49 x, 0.51 x) with margin beyond
     the error bound.
     """
     if x < 2:
         raise ValueError("require x >= 2")
-    logs = [math.log(p) for p in core.primes_up_to(x, budget=budget) if p % 3 == 2]
+    logs = [math.log(p) for p in core.primes_up_to(x) if p % 3 == 2]
     value = math.fsum(logs)
     error = len(logs) * 2.0**-52 * max(value, 1.0)
-    if x >= 3761:
-        assert value - error > 0.49 * x and value + error < 0.51 * x
+    if x >= 3761 and not (value - error > 0.49 * x and value + error < 0.51 * x):
+        raise AssertionError(f"theta({x}) is not inside (0.49x, 0.51x)")
     return ThetaValue(x, value, error, len(logs))
 
 

@@ -69,14 +69,13 @@ def _family_verdict(
     params: tuple[tuple[str, int], ...],
     expr: QuotientExpr,
     want_coefficients: bool,
-    budget: int | None = None,
 ) -> QFamilyVerdict:
     polynomial, degree = qpoly.polynomiality(expr)
     nonneg = None
     negatives: tuple[tuple[int, int], ...] = ()
     if polynomial and want_coefficients:
         try:
-            poly = qpoly.expand_expr(expr, budget=budget)
+            poly = qpoly.expand_expr(expr)
         except BudgetExceededError:
             pass
         else:
@@ -86,9 +85,7 @@ def _family_verdict(
     return QFamilyVerdict(family_id, params, polynomial, nonneg, negatives, degree)
 
 
-def verify_q_families(
-    n: int, expand_coefficients: bool = True, budget: int | None = None
-) -> list[QFamilyVerdict]:
+def verify_q_families(n: int, expand_coefficients: bool = True) -> list[QFamilyVerdict]:
     """Verdicts for the seven quotient families at a given n.
 
     The six single-quotient families are checked for polynomiality and
@@ -102,11 +99,10 @@ def verify_q_families(
     for c, mc, kc in SINGLE_QUOTIENT_FAMILIES:
         expr = QuotientExpr((1,), (c * n - 1,), mc * n, kc * n)
         verdicts.append(_family_verdict(
-            f"{mc}n:{kc}n/{c}n-1", (("n", n),), expr,
-            expand_coefficients, budget))
+            f"{mc}n:{kc}n/{c}n-1", (("n", n),), expr, expand_coefficients))
     expr = QuotientExpr((1, 1), (10 * n - 1, 15 * n - 1), 30 * n, 5 * n)
     verdicts.append(_family_verdict(
-        "30n:5n/(10n-1)(15n-1)", (("n", n),), expr, False, budget))
+        "30n:5n/(10n-1)(15n-1)", (("n", n),), expr, False))
     return verdicts
 
 
@@ -141,8 +137,8 @@ def verify_gcd_catalan_family(a: int, b: int, n: int) -> QFamilyVerdict:
     """Verdict for (1-q^{gcd(an, bn+1)})/(1-q^{bn+1}) [an+bn, an]_q.
 
     The second displayed form with denominator 1-q^{an+bn+1} and binomial
-    [an+bn+1, an]_q is computed as well; the two exponent vectors are
-    asserted identical.  The verdict itself is the gcd binomial quotient
+    [an+bn+1, an]_q is computed as well; the two exponent vectors must be
+    identical.  The verdict itself is the gcd binomial quotient
     check at (an, bn+1).
     """
     if min(a, b, n) < 1:
@@ -152,7 +148,8 @@ def verify_gcd_catalan_family(a: int, b: int, n: int) -> QFamilyVerdict:
     form2 = QuotientExpr((g,), (a * n + b * n + 1,), a * n + b * n + 1, a * n)
     f1 = qpoly.expr_factorization(form1)
     f2 = qpoly.expr_factorization(form2)
-    assert f1.exponents == f2.exponents, "the two displayed forms differ"
+    if f1.exponents != f2.exponents:
+        raise AssertionError("the two displayed forms differ")
     verdict = gcd_binomial_quotient_check(a * n, b * n + 1)
     return QFamilyVerdict(
         "gcd-catalan", (("a", a), ("b", b), ("n", n)),
@@ -160,7 +157,7 @@ def verify_gcd_catalan_family(a: int, b: int, n: int) -> QFamilyVerdict:
         verdict.degree)
 
 
-def check_c330n88n(n: int, budget: int | None = None) -> tuple[int, list[tuple[int, int]]]:
+def check_c330n88n(n: int) -> tuple[int, list[tuple[int, int]]]:
     """Negative coefficients of (1-q)^2/((1-q^{10n-1})(1-q^{15n-1})) [30n, 5n]_q.
 
     Returns (degree, negative positions with values).  The conjectured
@@ -171,10 +168,12 @@ def check_c330n88n(n: int, budget: int | None = None) -> tuple[int, list[tuple[i
         raise ValueError("require n >= 1")
     expr = QuotientExpr((1, 1), (10 * n - 1, 15 * n - 1), 30 * n, 5 * n)
     f = qpoly.expr_factorization(expr)
-    assert qpoly.is_polynomial(f)
+    if not qpoly.is_polynomial(f):
+        raise AssertionError(f"the c330n88n quotient at n = {n} is not a polynomial")
     degree = f.degree()
-    assert degree == 125 * n * n - 25 * n + 4
-    poly = qpoly.expand_expr(expr, budget=budget)
+    if degree != 125 * n * n - 25 * n + 4:
+        raise AssertionError(f"the c330n88n quotient at n = {n} has degree {degree}")
+    poly = qpoly.expand_expr(expr)
     _, negatives = qpoly.is_nonneg(poly)
     return degree, negatives
 

@@ -1,7 +1,7 @@
 """Exact polynomial algebra in q.
 
-Cyclotomic exponent vectors for quotients of q-integers and q-binomial
-coefficients, dense expansion, and the structural predicates (reciprocal,
+Cyclotomic exponent vectors for quotients of q-integers times a q-binomial
+coefficient, dense expansion, and the structural predicates (reciprocal,
 unimodal, non-negative).
 
 The canonical internal form of a quotient expression is its cyclotomic
@@ -11,8 +11,9 @@ Only Phi_d with d dividing a denominator index can get a negative exponent,
 so :func:`polynomiality` decides a quotient on those exponents alone and
 gives its degree in closed form; the dense vector is built by
 :func:`expr_factorization` for callers that compare it.  Dense coefficients
-are only produced on demand, by :func:`expand_expr`; a Gaussian polynomial
-[m, k]_q is the expression with no q-integer factors.
+are only produced on demand, by :func:`expand_expr`.  A Gaussian polynomial
+[m, k]_q is the expression with no q-integer factors, so both functions
+serve it too.
 
 :class:`IntPoly` is the value :func:`expand_expr` returns: a normalized
 coefficient tuple with equality and hashing, and no arithmetic.
@@ -26,6 +27,7 @@ plain dict.
 
 :data:`degree_budget` is module state, like ``core.prime_budget``: the CLI
 sets it for the length of one call, and a library caller may assign it.
+No expansion takes a budget of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import BudgetExceededError
 
 DEGREE_BUDGET_DEFAULT = 10**5
 
-# The degree budget in force for expansions called without their own.
+# The degree budget in force: no expansion runs past it.
 degree_budget = DEGREE_BUDGET_DEFAULT
 
 
@@ -107,9 +109,9 @@ class CycloFactorization(NamedTuple("CycloFactorization", [
 
     def degree(self) -> int:
         """Degree of the represented expression (may be meaningful only when
-        it is a polynomial; in general the formal degree sum)."""
-        phi = core.totient_table(max(self.exponents, default=0))
-        return sum(e * phi[d] for d, e in self.exponents.items())
+        it is a polynomial; in general the formal degree sum).  Phi_d has
+        degree phi(d)."""
+        return sum(e * core.totient(d) for d, e in self.exponents.items())
 
 
 class QuotientExpr(NamedTuple("QuotientExpr", [
@@ -136,18 +138,6 @@ class QuotientExpr(NamedTuple("QuotientExpr", [
 
     # _replace builds through _make, so it is checked as well.
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-
-def qbinom_factorization(m: int, k: int) -> CycloFactorization:
-    """Cyclotomic exponents of the Gaussian polynomial [m, k]_q.
-
-    e_d = floor(m/d) - floor(k/d) - floor((m-k)/d) for 2 <= d <= m; always
-    non-negative, and e_1 = 0.
-    """
-    if not 0 <= k <= m:
-        raise ValueError("require 0 <= k <= m")
-    return CycloFactorization(
-        {d: e for d, e in enumerate(_qbinom_exponents(m, k)) if e})
 
 
 def _qbinom_exponents(m: int, k: int) -> list[int]:
@@ -200,27 +190,28 @@ def is_polynomial(f: CycloFactorization) -> bool:
     return all(e >= 0 for e in f.exponents.values())
 
 
-def expand_expr(expr: QuotientExpr, budget: int | None = None) -> IntPoly:
+def expand_expr(expr: QuotientExpr) -> IntPoly:
     """Expand a quotient expression directly from its q-integer factors.
 
     Works from the binomials 1-q^t alone: the q-binomial is itself a
     balanced quotient of them, so the expansion is k + |ms|
     multiplications and as many exact divisions.
     Polynomiality and the degree come from :func:`polynomiality`, and the
-    normalized result's degree is asserted against that closed form.
+    normalized result's degree is checked against that closed form, and the
+    degree must not exceed :data:`degree_budget`.
     """
     polynomial, expected_degree = polynomiality(expr)
     if not polynomial:
         raise ValueError("expansion requires a polynomial expression")
-    limit = budget if budget is not None else degree_budget
-    if expected_degree > limit:
+    if expected_degree > degree_budget:
         raise BudgetExceededError(
-            f"expansion degree {expected_degree} exceeds budget {limit}")
+            f"expansion degree {expected_degree} exceeds budget {degree_budget}")
     m, k = expr.binom_m, expr.binom_k
     result = IntPoly(_binomial_quotient(
         [*expr.numerator_ms, *range(m - k + 1, m + 1)],
         [*expr.denominator_ns, *range(1, k + 1)]))
-    assert result.degree == expected_degree, "degree bookkeeping violated"
+    if result.degree != expected_degree:
+        raise AssertionError("degree bookkeeping violated")
     return result
 
 

@@ -119,7 +119,7 @@ def mobius(n: int) -> int:
     return mu
 
 
-def expand(f: qpoly.CycloFactorization, budget: int | None = None) -> IntPoly:
+def expand(f: qpoly.CycloFactorization) -> IntPoly:
     """Multiply out sign * prod Phi_d**e_d exactly.
 
     Uses the Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)}
@@ -130,10 +130,9 @@ def expand(f: qpoly.CycloFactorization, budget: int | None = None) -> IntPoly:
     if not qpoly.is_polynomial(f):
         raise ValueError("expansion requires a polynomial (all exponents >= 0)")
     expected_degree = f.degree()
-    limit = budget if budget is not None else qpoly.degree_budget
-    if expected_degree > limit:
-        raise BudgetExceededError(
-            f"expansion degree {expected_degree} exceeds budget {limit}")
+    if expected_degree > qpoly.degree_budget:
+        raise BudgetExceededError(f"expansion degree {expected_degree} "
+                                  f"exceeds budget {qpoly.degree_budget}")
 
     sign = f.sign
     g: dict[int, int] = {}
@@ -161,14 +160,13 @@ def expand(f: qpoly.CycloFactorization, budget: int | None = None) -> IntPoly:
     return result
 
 
-def qbinom_poly(m: int, k: int, budget: int | None = None) -> IntPoly:
+def qbinom_poly(m: int, k: int) -> IntPoly:
     """Gaussian polynomial [m, k]_q via the q-Pascal recurrence."""
     if not 0 <= k <= m:
         raise ValueError("require 0 <= k <= m")
-    limit = budget if budget is not None else qpoly.degree_budget
-    if k * (m - k) > limit:
-        raise BudgetExceededError(
-            f"q-binomial degree {k * (m - k)} exceeds budget {limit}")
+    if k * (m - k) > qpoly.degree_budget:
+        raise BudgetExceededError(f"q-binomial degree {k * (m - k)} "
+                                  f"exceeds budget {qpoly.degree_budget}")
     # [r, j] = [r-1, j-1] + q^j [r-1, j], row by row.
     row = [[1]]
     for r in range(1, m + 1):
@@ -210,7 +208,7 @@ def b_nk_poly(n: int, k: int) -> IntPoly:
     return quotient
 
 
-def generalized_q_catalan(a: int, b: int, n: int, budget: int | None = None) -> IntPoly:
+def generalized_q_catalan(a: int, b: int, n: int) -> IntPoly:
     """(1-q^a)/(1-q^{bn+1}) [an+bn, an]_q, expanded; non-negativity asserted.
 
     gcd(an, bn+1) divides a (since gcd(n, bn+1) = 1), which is what makes
@@ -220,7 +218,7 @@ def generalized_q_catalan(a: int, b: int, n: int, budget: int | None = None) -> 
         raise ValueError("require a, b, n >= 1")
     assert a % math.gcd(a * n, b * n + 1) == 0
     poly = qpoly.expand_expr(
-        QuotientExpr((a,), (b * n + 1,), a * n + b * n, a * n), budget=budget)
+        QuotientExpr((a,), (b * n + 1,), a * n + b * n, a * n))
     ok, _ = qpoly.is_nonneg(poly)
     assert ok, "coefficients unexpectedly negative"
     return poly

@@ -109,21 +109,78 @@ class TestFab:
         assert json.loads(lines[0])["kind"] == "fab-cache"
         assert len(lines) == 2
 
+    @staticmethod
+    def _cache_with(tmp_path, key, record):
+        cache = tmp_path / "fab.cache"
+        cache.write_text(
+            json.dumps({"engine_version": cli.__version__, "kind": "fab-cache"})
+            + "\n" + json.dumps({"key": key, "record": record}) + "\n")
+        return cache
+
     @pytest.mark.parametrize("record", [
         5,  # parses, but is no record
         {"verdict": "found"},  # an object without the fab record's fields
     ])
     def test_cache_foreign_record_dropped(self, record, tmp_path, capsys):
-        cache = tmp_path / "fab.cache"
-        cache.write_text(
-            json.dumps({"engine_version": cli.__version__, "kind": "fab-cache"})
-            + "\n" + json.dumps({"key": {"a": 7, "b": 36, "n_cap": None},
-                                 "record": record}) + "\n")
+        cache = self._cache_with(tmp_path, {"a": 7, "b": 36, "n_cap": None}, record)
         _, uncached, _ = run_cli(["fab", "7", "36"], capsys)
         code, out, err = run_cli(["fab", "7", "36", "--cache", str(cache)], capsys)
         assert code == 0
         assert "warning: dropping corrupt cache tail at line 2" in err
         assert out == uncached
+
+    BOUND_7_36 = {"p": 7, "bound": 2736, "s": 6}
+
+    @pytest.mark.parametrize("argv, record", [
+        # A found n that does not fail (the true answer is 279).
+        (["7", "36"], {"a": 7, "b": 36, "verdict": "found", "n": 1,
+                       "n_max": None, "bound": None}),
+        (["7", "36"], {"a": 7, "b": 36, "verdict": "found", "n": 1,
+                       "n_max": None, "bound": BOUND_7_36}),
+        # The right n under a forged bound, or past the scan cap.
+        (["7", "36"], {"a": 7, "b": 36, "verdict": "found", "n": 279,
+                       "n_max": None, "bound": {"p": 7, "bound": 300, "s": 6}}),
+        (["7", "36", "--n-cap", "100"], {"a": 7, "b": 36, "verdict": "found",
+                                         "n": 279, "n_max": None,
+                                         "bound": BOUND_7_36}),
+        # A proven zero where an order bound exists, and the reverse.
+        (["7", "36"], {"a": 7, "b": 36, "verdict": "proven_zero", "n": None,
+                       "n_max": None, "bound": BOUND_7_36}),
+        (["2", "4"], {"a": 2, "b": 4, "verdict": "found", "n": 1,
+                      "n_max": None, "bound": None}),
+        # An inconclusive scan that stopped short of its cap.
+        (["7", "36"], {"a": 7, "b": 36, "verdict": "inconclusive", "n": None,
+                       "n_max": 5, "bound": BOUND_7_36}),
+        # A found n stored as true, which equals 1 but is not an integer.
+        (["2", "3"], {"a": 2, "b": 3, "verdict": "found", "n": True,
+                      "n_max": None, "bound": {"p": 2, "bound": 3, "s": 4}}),
+    ], ids=["found-1-no-bound", "found-1", "found-bound-forged",
+            "found-past-cap", "proven-zero-with-bound", "found-without-bound",
+            "inconclusive-short", "found-true"])
+    def test_cache_forged_entry_recomputed(self, argv, record, tmp_path, capsys):
+        n_cap = int(argv[3]) if len(argv) > 2 else None
+        key = {"a": int(argv[0]), "b": int(argv[1]), "n_cap": n_cap}
+        cache = self._cache_with(tmp_path, key, record)
+        code_uncached, uncached, _ = run_cli(["fab"] + argv, capsys)
+        code, out, err = run_cli(["fab"] + argv + ["--cache", str(cache)], capsys)
+        assert (code, out) == (code_uncached, uncached)
+        assert "fails its re-check; recomputing" in err
+        # The recomputed record is appended and answers the next run.
+        assert len(cache.read_text().splitlines()) == 3
+        code, out, err = run_cli(["fab"] + argv + ["--cache", str(cache)], capsys)
+        assert (code, out) == (code_uncached, uncached)
+        assert "re-check" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["7", "36"], ["1", "1"], ["7", "36", "--n-cap", "5"],
+        ["7", "36", "--n-cap", "0"], ["2", "3"]])
+    def test_cache_honest_entry_passes_recheck(self, argv, tmp_path, capsys):
+        cache = str(tmp_path / "fab.cache")
+        first = run_cli(["fab"] + argv + ["--cache", cache], capsys)
+        code, out, err = run_cli(["fab"] + argv + ["--cache", cache], capsys)
+        assert (code, out) == first[:2]
+        assert "re-check" not in err
+        assert len(open(cache).read().splitlines()) == 2
 
     def test_cache_version_mismatch(self, tmp_path, capsys):
         cache = tmp_path / "fab.cache"
@@ -301,6 +358,28 @@ class TestCheckpoint:
                 in err)
         assert out == uncheckpointed
 
+    @pytest.mark.parametrize("argv, line", [
+        # Each record carries its point's coordinates but not a boolean
+        # under the field its claim's rule reads.
+        (["conj", "oddp", "--a-max", "2", "--b-max", "1", "--n-max", "3"],
+         '{"a":2,"b":1}'),
+        (["conj", "conj2witness", "--a-max", "1", "--b-max", "1"],
+         '{"a":1,"b":1,"found":"yes"}'),
+        (["conj", "c330n88n", "--n", "1"], '{"n":1,"matches_pattern":null}'),
+        (["verify", "thm0", "--a-max", "1", "--b-max", "1", "--n-max", "1"],
+         '{"a":1,"b":1,"n":1,"ok":1}'),
+    ], ids=["oddp", "conj2witness", "c330n88n", "thm0"])
+    def test_record_without_verdict_dropped(self, argv, line, tmp_path, capsys):
+        ckpt = tmp_path / "run.ckpt"
+        _, uncheckpointed, _ = run_cli(argv, capsys)
+        run_cli(argv + ["--checkpoint", str(ckpt)], capsys)
+        header = ckpt.read_text().splitlines()[0]
+        ckpt.write_text(f"{header}\n{line}\n")
+        code, out, err = run_cli(argv + ["--checkpoint", str(ckpt)], capsys)
+        assert code == 0
+        assert "warning: dropping corrupt checkpoint tail at line 2" in err
+        assert out == uncheckpointed
+
     def test_fingerprint_mismatch_rejected(self, tmp_path, capsys):
         ckpt = str(tmp_path / "run.ckpt")
         run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
@@ -449,6 +528,13 @@ class TestQbinomTheta:
     def test_qbinom_refusals(self, capsys):
         code, _, err = run_cli(["qbinom", "3", "4"], capsys)
         assert code == 64 and "error:" in err
+        # Both dumps build the same quotient expression, so both refuse k > m
+        # with its message.
+        code, out, err = run_cli(["qbinom", "3", "5"], capsys)
+        assert (code, out, err) == (
+            64, "", "error: require 0 <= binom_k <= binom_m\n")
+        assert run_cli(["qbinom", "3", "5", "--exponents"], capsys) == (
+            code, out, err)
         code, out, err = run_cli(
             ["--budget-degree", "24", "qbinom", "10", "5"], capsys)
         assert code == 3 and out == ""
@@ -479,6 +565,23 @@ class TestInternalCheck:
         assert out == ""
         assert ("error: internal check failed: "
                 "Legendre and Kummer routes disagree") in err
+
+    def test_cross_check_runs_under_optimize(self):
+        # python -O strips bare asserts; the engine's cross-checks raise
+        # AssertionError explicitly, so a planted fault still exits 70.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys\n"
+                "from divcert import cli, core\n"
+                "core._carry_count = lambda a, b, p: -1\n"
+                "sys.exit(cli.main(['verify', 'thm0', '--a-max', '1',"
+                " '--b-max', '1', '--n-max', '2']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 70
+        assert proc.stdout == ""
+        assert ("error: internal check failed: "
+                "Legendre and Kummer routes disagree") in proc.stderr
 
     def test_kernel_remainder_exit_70(self, capsys, monkeypatch):
         # Polynomiality is decided before any expansion, so a remainder in

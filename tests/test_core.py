@@ -60,27 +60,6 @@ class TestTotient:
         with pytest.raises(ValueError):
             core.totient(0)
 
-    def test_sieve_matches_totient(self):
-        phi = core.totients_up_to(5000)
-        assert len(phi) == 5001 and phi[0] == 0
-        assert all(phi[n] == core.totient(n) for n in range(1, 5001))
-        assert core.totients_up_to(0) == [0]
-        with pytest.raises(ValueError):
-            core.totients_up_to(-1)
-
-    def test_shared_table_grows_and_agrees(self, monkeypatch):
-        monkeypatch.setattr(core, "_totients", [0])
-        monkeypatch.setattr(core, "_totients_limit", 0)
-        sizes = []
-        for n in (10, 1024, 1025, 2049, 3000, 5):
-            table = core.totient_table(n)
-            sizes.append(len(table))
-        # One sieve, then two doublings; smaller requests reuse the table.
-        assert sizes == [1025, 1025, 2049, 4097, 4097, 4097]
-        assert table == core.totients_up_to(4096)
-        with pytest.raises(ValueError):
-            core.totient_table(-1)
-
     @given(st.integers(1, 3000))
     def test_brute_force(self, n):
         assert core.totient(n) == sum(
@@ -127,9 +106,11 @@ class TestPrimes:
             1 for n in range(2, 3762) if all(n % d for d in range(2, math.isqrt(n) + 1)))
         assert len(primes) == 523
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "prime_budget", 10)
         with pytest.raises(BudgetExceededError):
-            core.primes_up_to(100, budget=10)
+            core.primes_up_to(100)
+        assert core.primes_up_to(10) == [2, 3, 5, 7]
 
     def test_is_prime(self):
         assert core.is_prime(199)
@@ -170,10 +151,11 @@ class TestFactorize:
             assert f.value == n
             assert math.prod(p**e for p, e in f.factors) == n
 
-    def test_ceiling(self):
+    def test_ceiling(self, monkeypatch):
         with pytest.raises(BudgetExceededError):
             core.factorize(10**9)
-        core.factorize(10**9, ceiling=10**9)
+        monkeypatch.setattr(core, "FACTOR_CEILING", 10**9)
+        assert core.factorize(10**9).factors == ((2, 9), (5, 9))
 
 
 class TestFactorizeMemo:
@@ -205,8 +187,10 @@ class TestFactorizeMemo:
         core.factorize(10**8)
         with pytest.raises(ValueError):
             core.factorize(0)
-        with pytest.raises(BudgetExceededError):
-            core.factorize(126, ceiling=125)
+        with monkeypatch.context() as m:
+            m.setattr(core, "FACTOR_CEILING", 125)
+            with pytest.raises(BudgetExceededError):
+                core.factorize(126)
         # 126 needs the primes up to isqrt(126) + 1 = 12.
         monkeypatch.setattr(core, "prime_budget", 11)
         with pytest.raises(BudgetExceededError):
@@ -351,9 +335,12 @@ class TestBinomExact:
         assert core.binom_exact(30, 5) == 142506
         assert core.binom_exact(17, 17) == 1
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceededError):
             core.binom_exact(200_000, 3)
+        monkeypatch.setattr(core, "BINOM_EXACT_BUDGET", 11)
+        with pytest.raises(BudgetExceededError):
+            core.binom_exact(12, 3)
 
 
 class TestDividesBinomial:

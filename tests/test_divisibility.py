@@ -38,6 +38,12 @@ class TestFab:
     def test_proven_zero(self):
         assert divisibility.f_ab(1, 1).verdict == "proven_zero"
         assert divisibility.f_ab(6, 12).verdict == "proven_zero"
+        # Exactly the pairs without an order bound are proven zero.
+        for a in range(1, 25):
+            for b in range(1, 25):
+                r = divisibility.f_ab(a, b, n_cap=1)
+                assert r.bound == divisibility.fab_bound(a, b)
+                assert (r.verdict == "proven_zero") == (r.bound is None)
 
     def test_proven_zero_spot_check(self):
         # When rad(a) | b the divisibility really does hold for every n.
@@ -47,7 +53,7 @@ class TestFab:
     def test_inconclusive_when_cap_undercuts(self):
         r = divisibility.f_ab(7, 36, n_cap=100)
         assert r.verdict == "inconclusive"
-        assert r.n_max == 100 and r.bound_used == 2736
+        assert r.n_max == 100 and r.bound == (7, 2736, 6)
 
     def test_scan_never_exceeds_bound(self):
         # (2,3): bound (2^s-1)/5 with s = order of 2 mod 5 = 4, so bound 3.
@@ -141,9 +147,10 @@ class TestConj2Witness:
                 v = core.binom_valuation((a + b) * w.n, a * w.n, w.p).valuation
                 assert v - e == w.valuation < 0
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(divisibility, "_CONJ2_POWER_CAP", 2)
         with pytest.raises(SearchExhaustedError):
-            divisibility.negative_valuation_witness(1, 1, p_cap=3, power_cap=2)
+            divisibility.negative_valuation_witness(1, 1, p_cap=3)
 
     def test_sieve_primes_not_reproved(self, monkeypatch):
         # Every candidate comes from the sieve, so no valuation re-runs a

@@ -37,8 +37,9 @@ class TestVerifyQFamilies:
         # The composite-denominator family only claims polynomiality.
         assert by_id["30n:5n/(10n-1)(15n-1)"].nonneg is None
 
-    def test_budget_leaves_nonneg_open(self):
-        verdicts = qdivisibility.verify_q_families(2, budget=50)
+    def test_budget_leaves_nonneg_open(self, monkeypatch):
+        monkeypatch.setattr(qpoly, "degree_budget", 50)
+        verdicts = qdivisibility.verify_q_families(2)
         for v in verdicts[:-1]:
             assert v.polynomial and v.nonneg is None
 
@@ -189,9 +190,10 @@ class TestC330n88n:
             (i, _), (j, _) = pattern
             assert i + j == degree
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(qpoly, "degree_budget", 100)
         with pytest.raises(BudgetExceededError):
-            qdivisibility.check_c330n88n(3, budget=100)
+            qdivisibility.check_c330n88n(3)
 
 
 class TestExpandedFamiliesReciprocal:

@@ -98,7 +98,7 @@ def _records():
         divisibility.negative_valuation_witness(1, 1, p_cap=100),
         divisibility.prime_window_verify(530, 532),
         divisibility.chebyshev_theta_3_2(10),
-        qpoly.qbinom_factorization(4, 2),
+        qpoly.expr_factorization(QuotientExpr((), (), 4, 2)),
         QuotientExpr((1,), (5,), 12, 3),
         qdivisibility.gcd_binomial_quotient_check(2, 3),
     ]
