@@ -560,15 +560,20 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         help="append-only checkpoint log; resumable")
 
 
-def _prime_cap(text: str) -> int:
-    """--p-cap: the largest prime searched; the sieve needs at least 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, not {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`.  Grid bounds
+    start at 1, so no claim is reported as holding over an empty grid;
+    --p and --p-cap start at 2, the least prime."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, not {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,16 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fab", help="first n with (bn+1) not dividing binom((a+b)n, an)")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.add_argument("--n-cap", type=int, default=None)
+    p.add_argument("--n-cap", type=_int_at_least(0), default=None)
     p.add_argument("--cache", help="append-only result cache file")
     _add_common(p)
     p.set_defaults(func=_cmd_fab)
 
     p = sub.add_parser("verify", help="grid-run a theorem verifier")
     p.add_argument("theorem_id", choices=list(_GRIDS["verify"]))
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--a-max", type=int, default=10)
-    p.add_argument("--b-max", type=int, default=10)
+    p.add_argument("--n-max", type=_int_at_least(1), default=10)
+    p.add_argument("--a-max", type=_int_at_least(1), default=10)
+    p.add_argument("--b-max", type=_int_at_least(1), default=10)
     p.add_argument("--expand", action="store_true",
                    help="also expand coefficients where budgets allow")
     _add_grid(p)
@@ -599,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conj", help="conjecture explorers and witness searches")
     p.add_argument("conjecture_id", choices=list(_GRIDS["conj"]))
-    p.add_argument("--a-max", type=int, default=10)
-    p.add_argument("--b-max", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--p-cap", type=_prime_cap,
+    p.add_argument("--a-max", type=_int_at_least(1), default=10)
+    p.add_argument("--b-max", type=_int_at_least(1), default=10)
+    p.add_argument("--n-max", type=_int_at_least(1), default=50)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
+    p.add_argument("--m", type=_int_at_least(1), default=1)
+    p.add_argument("--p", type=_int_at_least(2), default=3)
+    p.add_argument("--p-cap", type=_int_at_least(2),
                    default=divisibility.CONJ2_PRIME_CAP_DEFAULT)
     _add_grid(p)
     p.set_defaults(func=functools.partial(_cmd_grid, "conjecture_id"))

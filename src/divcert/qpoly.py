@@ -194,7 +194,8 @@ def expand_expr(expr: QuotientExpr) -> IntPoly:
     """Expand a quotient expression directly from its q-integer factors.
 
     Works from the binomials 1-q^t alone: the q-binomial is itself a
-    balanced quotient of them, so the expansion is k + |ms|
+    balanced quotient of them, built from its shorter side since
+    [m, k]_q = [m, m-k]_q, so the expansion is min(k, m-k) + |ms|
     multiplications and as many exact divisions.
     Polynomiality and the degree come from :func:`polynomiality`, and the
     normalized result's degree is checked against that closed form, and the
@@ -207,6 +208,7 @@ def expand_expr(expr: QuotientExpr) -> IntPoly:
         raise BudgetExceededError(
             f"expansion degree {expected_degree} exceeds budget {degree_budget}")
     m, k = expr.binom_m, expr.binom_k
+    k = min(k, m - k)
     result = IntPoly(_binomial_quotient(
         [*expr.numerator_ms, *range(m - k + 1, m + 1)],
         [*expr.denominator_ns, *range(1, k + 1)]))

@@ -481,11 +481,12 @@ class TestConj:
         assert "error: expansion degree" in err
 
     def test_c330n88n_n_zero_refused(self, capsys):
-        code, out, err = run_cli(
-            ["conj", "c330n88n", "--n", "0", "--n-max", "2"], capsys)
-        assert code == 64
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["conj", "c330n88n", "--n", "0", "--n-max", "2"], capsys)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "error: require n >= 1" in err
+        assert "error: argument --n: must be an integer >= 1" in err
 
     def test_oddp2(self, capsys):
         code, out, _ = run_cli(
@@ -598,6 +599,42 @@ class TestInternalCheck:
         assert ("error: internal check failed: expansion of a decided "
                 "polynomial: not divisible by 1 - q^t") in err
 
+    def test_planted_remainder_on_shorter_side_exit_70(self, capsys, monkeypatch):
+        # [40, 33]_q is built from its 7 shorter-side factors.  A product
+        # one off in its top coefficient is nonzero at q = 1, so the real
+        # division kernel meets a remainder.
+        from divcert._kernels import mul_one_minus_qt
+
+        def off_by_one(c, t):
+            out = mul_one_minus_qt(c, t)
+            out[-1] += 1
+            return out
+
+        monkeypatch.setattr(qpoly, "mul_one_minus_qt", off_by_one)
+        code, out, err = run_cli(["qbinom", "40", "33"], capsys)
+        assert code == 70
+        assert out == ""
+        assert ("error: internal check failed: expansion of a decided "
+                "polynomial: not divisible by 1 - q^t") in err
+
+
+# Options below their least value, each with its usage message.
+BELOW_LEAST = [
+    (["fab", "7", "36", "--n-cap", "-5"], "--n-cap: must be an integer >= 0"),
+    (["verify", "thm0", "--n-max", "-1", "--a-max", "1", "--b-max", "1"],
+     "--n-max: must be an integer >= 1"),
+    (["verify", "thm4", "--n-max", "0"], "--n-max: must be an integer >= 1"),
+    (["verify", "andrews", "--a-max", "0"], "--a-max: must be an integer >= 1"),
+    (["verify", "andrews", "--b-max", "0"], "--b-max: must be an integer >= 1"),
+    (["conj", "conj2witness", "--a-max", "0"],
+     "--a-max: must be an integer >= 1"),
+    (["conj", "oddp2", "--m", "0"], "--m: must be an integer >= 1"),
+    (["conj", "c330n88n", "--n-max", "0"], "--n-max: must be an integer >= 1"),
+    (["conj", "oddp", "--p", "0", "--a-max", "2", "--b-max", "1",
+      "--n-max", "2"], "--p: must be an integer >= 2"),
+    (["conj", "oddp", "--p", "1"], "--p: must be an integer >= 2"),
+]
+
 
 class TestUsageErrors:
     def test_unknown_theorem(self, capsys):
@@ -616,6 +653,18 @@ class TestUsageErrors:
         assert exc.value.code == 64
         _, err = capsys.readouterr()
         assert "error: argument --p-cap: must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("argv, message", BELOW_LEAST,
+                             ids=[" ".join(argv) for argv, _ in BELOW_LEAST])
+    def test_bound_below_its_least_value_refused(self, argv, message, capsys):
+        # Each of these once ran an empty or unchecked grid and reported
+        # its claim as holding, or took a negative scan cap.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, capsys)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {message}" in err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import divcert
 import oracles
-from divcert import qpoly
+from divcert import qdivisibility, qpoly
 from divcert._kernels import div_one_minus_qt, mul_one_minus_qt
 from divcert.errors import BudgetExceededError
 from divcert.qpoly import IntPoly, QuotientExpr
@@ -196,6 +196,25 @@ class TestExpand:
                 via_cyclo = oracles.expand(_gaussian_factorization(m, k))
                 via_rec = oracles.qbinom_poly(m, k)
                 assert via_cyclo == via_rec
+                # [m, k]_q = [m, m-k]_q, whichever side expand_expr builds.
+                for side in (k, m - k):
+                    assert qpoly.expand_expr(QuotientExpr((), (), m, side)) == via_rec
+
+    def test_gaussian_built_from_shorter_side(self, monkeypatch):
+        # gcd_binomial_quotient_check(61, 2) expands (1-q)/(1-q^63) [63, 61]_q.
+        # From the shorter side the product is (1-q)(1-q^62)(1-q^63), of
+        # degree 126; from the longer one it passes degree 1,900.
+        longest = 0
+
+        def recording(c, t):
+            nonlocal longest
+            out = mul_one_minus_qt(c, t)
+            longest = max(longest, len(out))
+            return out
+
+        monkeypatch.setattr(qpoly, "mul_one_minus_qt", recording)
+        assert qdivisibility.gcd_binomial_quotient_check(61, 2).nonneg
+        assert 0 < longest <= 127
 
     def test_expand_expr_matches_expand(self):
         for m, k, u, v in [(12, 3, 1, 5), (12, 4, 1, 5), (10, 5, 5, 10),
