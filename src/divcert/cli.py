@@ -451,7 +451,8 @@ def _cmd_fab(args) -> int:
 def _fab_hit_holds(record: dict, a: int, b: int, n_cap: int | None) -> bool:
     """Could f_ab(a, b, n_cap) have written this cached record?
 
-    The bound is recomputed, as an uncached run computes it; a found n must
+    The bound is recomputed, as an uncached run computes it; a scan is
+    inconclusive only when its cap undercuts the bound; a found n must
     lie in the scanned range and fail divisibility, which one
     divides_binomial call decides.  That no smaller n fails is trusted.
     """
@@ -466,6 +467,8 @@ def _fab_hit_holds(record: dict, a: int, b: int, n_cap: int | None) -> bool:
         cap = min(info.bound, divisibility.FAB_SCAN_CAP_DEFAULT
                   if n_cap is None else n_cap)
         if verdict == "inconclusive":
+            if cap == info.bound:
+                return False
             expected["n_max"] = cap
         elif verdict == "found":
             n = expected["n"] = record["n"]
@@ -563,7 +566,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than `low`.  Grid bounds
     start at 1, so no claim is reported as holding over an empty grid;
-    --p and --p-cap start at 2, the least prime."""
+    --p and --p-cap start at 2, the least prime; budgets start at 0."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -578,9 +581,9 @@ def _int_at_least(low: int):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="divcert")
-    parser.add_argument("--budget-degree", type=int,
+    parser.add_argument("--budget-degree", type=_int_at_least(0),
                         help="expansion degree budget (DIVCERT_BUDGET_DEGREE)")
-    parser.add_argument("--budget-prime", type=int,
+    parser.add_argument("--budget-prime", type=_int_at_least(0),
                         help="sieve budget (DIVCERT_BUDGET_PRIME)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -647,13 +650,17 @@ def _set_budgets(prime: int, degree: int) -> None:
 
 
 def _budget(option: int | None, var: str, default: int) -> int:
-    """The option if given, else the environment variable, else the default."""
+    """The option if given, else the environment variable, else the default;
+    the variable is held to the options' type."""
     if option is not None:
         return option
+    text = os.environ.get(var)
+    if text is None:
+        return default
     try:
-        return int(os.environ.get(var, default))
-    except ValueError:
-        raise ValueError(f"{var} must be an integer") from None
+        return _int_at_least(0)(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{var} {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
 Everything here is arbitrary-precision and deterministic: the sieve, trial
 division factorization, Euler's totient, multiplicative orders, and
-Legendre / Kummer valuations of factorials and binomials.
+Legendre / Kummer valuations of binomials.
 
 Engine records (here and in the other engine modules) are immutable
 ``NamedTuple``s: a record compares equal to the tuple of its fields, and a
@@ -249,31 +249,6 @@ def multiplicative_order(p: int, m: int) -> int:
         raise AssertionError(
             f"order {s} of {p} mod {m} fails p^s == 1 or s | phi(m)")
     return s
-
-
-def legendre_valuation_factorial(n: int, p: int) -> int:
-    """v_p(n!) by Legendre's floor sum, cross-checked via the digit-sum form."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _legendre_sum(n, p)
-
-
-def _legendre_sum(n: int, p: int) -> int:
-    """v_p(n!) for a p the caller has proven prime."""
-    v = 0
-    q = n // p
-    while q:
-        v += q
-        q //= p
-    # Independent route: (n - base-p digit sum) / (p - 1).
-    digit_sum = 0
-    r = n
-    while r:
-        r, d = divmod(r, p)
-        digit_sum += d
-    if v != (n - digit_sum) // (p - 1):
-        raise AssertionError("floor and digit sums disagree")
-    return v
 
 
 class ValuationCertificate(NamedTuple):

@@ -74,7 +74,8 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
     When rad(a) | b, gcd(a, bn+1) = 1 for every n and the gcd-reduced
     modulus law forces divisibility for all n, so the value is 0 with
     proof.  Otherwise the order bound makes a scan up to the bound
-    complete; "inconclusive" can only occur when n_cap undercuts it.
+    complete; "inconclusive" can only occur when n_cap undercuts it, and
+    a full scan that finds no failing n is a failed internal check.
     """
     if a < 1 or b < 1:
         raise ValueError("require a, b >= 1")
@@ -87,6 +88,9 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
         if not ok:
             return FabResult(a, b, "found", n=n, bound=info,
                              certificate=tuple(certs))
+    if cap == info.bound:
+        raise AssertionError(
+            f"no n up to the bound {info.bound} fails for ({a}, {b})")
     return FabResult(a, b, "inconclusive", n_max=cap, bound=info)
 
 
@@ -236,7 +240,6 @@ class PrimeWindowReport(NamedTuple):
 
     entries: tuple[tuple[int, int], ...]
     failures: tuple[int, ...]
-    range: tuple[int, int]
 
 
 def prime_window_verify(x_lo: int, x_hi: int) -> PrimeWindowReport:
@@ -257,7 +260,7 @@ def prime_window_verify(x_lo: int, x_hi: int) -> PrimeWindowReport:
             entries.append((x, candidates[i]))
         else:
             failures.append(x)
-    return PrimeWindowReport(tuple(entries), tuple(failures), (x_lo, x_hi))
+    return PrimeWindowReport(tuple(entries), tuple(failures))
 
 
 class ThetaValue(NamedTuple):
@@ -308,12 +311,12 @@ def verify_quotient_decomposition(a: int, b: int, n: int) -> bool:
 
 def first_failing_n(p: int, a: int, b: int, n_max: int) -> int | None:
     """Smallest n <= n_max with (pn-1) not dividing binom(an, bn), else None."""
+    if p < 2:
+        raise ValueError("require p >= 2")
     if not a > b >= 1:
         raise ValueError("require a > b >= 1")
     for n in range(1, n_max + 1):
         modulus = p * n - 1
-        if modulus < 1:
-            continue
         if modulus == 1:
             continue
         ok, _ = core.divides_binomial(a * n, b * n, modulus)

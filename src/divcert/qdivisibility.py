@@ -32,10 +32,12 @@ class QFamilyVerdict(NamedTuple("QFamilyVerdict", [
         ("negative_positions", tuple[tuple[int, int], ...]), ("degree", int)])):
     """Polynomiality / non-negativity verdict for one family instance.
 
-    nonneg is None when the coefficient expansion was skipped (not
-    requested, or degree over budget); negative_positions is empty iff
-    nonneg is true.  The checks raise AssertionError explicitly, so they
-    run under ``python -O`` too.
+    nonneg is None when the quotient is not a polynomial, and otherwise
+    only when :func:`verify_q_families` skips its optional expansion or the
+    degree budget stops it; every other verdict expands, and a budget that
+    stops it raises.  negative_positions is empty iff nonneg is true.  The
+    checks raise AssertionError explicitly, so they run under ``python -O``
+    too.
     """
 
     __slots__ = ()
@@ -74,14 +76,8 @@ def _family_verdict(
     nonneg = None
     negatives: tuple[tuple[int, int], ...] = ()
     if polynomial and want_coefficients:
-        try:
-            poly = qpoly.expand_expr(expr)
-        except BudgetExceededError:
-            pass
-        else:
-            ok, neg = qpoly.is_nonneg(poly)
-            nonneg = ok
-            negatives = tuple(neg)
+        nonneg, neg = qpoly.is_nonneg(qpoly.expand_expr(expr))
+        negatives = tuple(neg)
     return QFamilyVerdict(family_id, params, polynomial, nonneg, negatives, degree)
 
 
@@ -89,7 +85,8 @@ def verify_q_families(n: int, expand_coefficients: bool = True) -> list[QFamilyV
     """Verdicts for the seven quotient families at a given n.
 
     The six single-quotient families are checked for polynomiality and
-    (when requested and affordable) non-negativity.  The seventh carries a
+    (when requested and within the degree budget) non-negativity; an
+    expansion the budget stops leaves nonneg None.  The seventh carries a
     polynomiality claim only; its coefficient pattern is the business of
     :func:`check_c330n88n`.
     """
@@ -98,8 +95,13 @@ def verify_q_families(n: int, expand_coefficients: bool = True) -> list[QFamilyV
     verdicts = []
     for c, mc, kc in SINGLE_QUOTIENT_FAMILIES:
         expr = QuotientExpr((1,), (c * n - 1,), mc * n, kc * n)
-        verdicts.append(_family_verdict(
-            f"{mc}n:{kc}n/{c}n-1", (("n", n),), expr, expand_coefficients))
+        family = f"{mc}n:{kc}n/{c}n-1"
+        try:
+            verdict = _family_verdict(family, (("n", n),), expr,
+                                      expand_coefficients)
+        except BudgetExceededError:
+            verdict = _family_verdict(family, (("n", n),), expr, False)
+        verdicts.append(verdict)
     expr = QuotientExpr((1, 1), (10 * n - 1, 15 * n - 1), 30 * n, 5 * n)
     verdicts.append(_family_verdict(
         "30n:5n/(10n-1)(15n-1)", (("n", n),), expr, False))

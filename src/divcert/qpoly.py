@@ -1,11 +1,10 @@
 """Exact polynomial algebra in q.
 
 Cyclotomic exponent vectors for quotients of q-integers times a q-binomial
-coefficient, dense expansion, and the structural predicates (reciprocal,
-unimodal, non-negative).
+coefficient, dense expansion, and the non-negativity predicate.
 
 The canonical internal form of a quotient expression is its cyclotomic
-exponent vector: the expression sign * prod_d Phi_d(q)**e_d is a polynomial
+exponent vector: the expression prod_d Phi_d(q)**e_d is a polynomial
 iff every e_d is non-negative, which is decidable by floor arithmetic alone.
 Only Phi_d with d dividing a denominator index can get a negative exponent,
 so :func:`polynomiality` decides a quotient on those exponents alone and
@@ -64,9 +63,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -88,21 +84,19 @@ def _divisors(n: int) -> list[int]:
 
 
 class CycloFactorization(NamedTuple("CycloFactorization", [
-        ("exponents", types.MappingProxyType), ("sign", int)])):
-    """sign * prod_d Phi_d(q)**e_d, as a sparse exponent map.
+        ("exponents", types.MappingProxyType)])):
+    """prod_d Phi_d(q)**e_d, as a sparse exponent map.
 
     The map is a read-only copy of the one given.
     """
 
     __slots__ = ()
 
-    def __new__(cls, exponents=None, sign=1):
+    def __new__(cls, exponents=None):
         exponents = types.MappingProxyType(dict(exponents or {}))
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if any(e == 0 for e in exponents.values()):
             raise ValueError("stored exponents must be nonzero")
-        return tuple.__new__(cls, (exponents, sign))
+        return tuple.__new__(cls, (exponents,))
 
     # _replace builds through _make, so it is checked as well.
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -236,42 +230,7 @@ def _binomial_quotient(muls: list[int], divs: list[int]) -> list:
     return coeffs
 
 
-def is_reciprocal(P: IntPoly) -> bool:
-    """Palindromic coefficient sequence; the zero polynomial counts as such."""
-    c = P.coeffs
-    return c == c[::-1]
-
-
-def is_unimodal(P: IntPoly) -> bool:
-    """Non-negative coefficients rising to a peak and then falling."""
-    c = P.coeffs
-    if any(x < 0 for x in c):
-        return False
-    falling = False
-    for i in range(1, len(c)):
-        if c[i] < c[i - 1]:
-            falling = True
-        elif c[i] > c[i - 1] and falling:
-            return False
-    return True
-
-
 def is_nonneg(P: IntPoly) -> tuple[bool, list[tuple[int, int]]]:
     """Verdict plus every index with a negative coefficient and its value."""
     negatives = [(i, c) for i, c in enumerate(P.coeffs) if c < 0]
     return not negatives, negatives
-
-
-def unimodal_quotient_check(P: IntPoly, m: int, n: int) -> bool:
-    """Is (1-q^m)/(1-q^n) * P(q) a polynomial with non-negative coefficients?
-
-    Rejects the input if the quotient is not a polynomial.  For reciprocal
-    unimodal P with m <= n this must come out true; the property tests
-    exercise exactly that law.
-    """
-    if not 1 <= m <= n:
-        raise ValueError("require 1 <= m <= n")
-    coeffs = mul_one_minus_qt(list(P.coeffs), m)
-    quotient = div_one_minus_qt(coeffs, n)
-    ok, _ = is_nonneg(IntPoly(quotient))
-    return ok

@@ -5,8 +5,11 @@ independent of the engine's (the Moebius expansion and the q-Pascal
 recurrence against :func:`divcert.qpoly.expand_expr`, the Lucas product
 against valuations, long division against exponent-vector polynomiality),
 or builds a claim of the source paper from engine results and checks it by
-a second route.  Polynomials are :class:`divcert.qpoly.IntPoly` values, so
-they compare equal to engine results with the same coefficients.
+a second route.  The hypotheses and the conclusion of the paper's
+positivity lemma are stated on this module's own polynomial arithmetic,
+not on the engine's kernels.  Polynomials are
+:class:`divcert.qpoly.IntPoly` values, so they compare equal to engine
+results with the same coefficients.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ def shift(p: IntPoly, k: int) -> IntPoly:
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     """Polynomial long division; raises ValueError on a remainder."""
-    if den.is_zero():
+    if not den.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
+    if not num.coeffs:
         return num
     rem = list(num.coeffs)
     d = list(den.coeffs)
@@ -120,7 +123,7 @@ def mobius(n: int) -> int:
 
 
 def expand(f: qpoly.CycloFactorization) -> IntPoly:
-    """Multiply out sign * prod Phi_d**e_d exactly.
+    """Multiply out prod Phi_d**e_d exactly.
 
     Uses the Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)}
     (d >= 2) to reduce the product to passes of multiplication and exact
@@ -134,7 +137,7 @@ def expand(f: qpoly.CycloFactorization) -> IntPoly:
         raise BudgetExceededError(f"expansion degree {expected_degree} "
                                   f"exceeds budget {qpoly.degree_budget}")
 
-    sign = f.sign
+    sign = 1
     g: dict[int, int] = {}
     for d, e_d in f.exponents.items():
         if d == 1:
@@ -181,6 +184,49 @@ def qbinom_poly(m: int, k: int) -> IntPoly:
         new_row.append([1])
         row = new_row
     return IntPoly(row[k])
+
+
+# ---------------------------------------------------------------------------
+# The positivity lemma (Guo-Krattenthaler): if P is reciprocal and unimodal,
+# 1 <= m <= n and (1-q^m)/(1-q^n) P is a polynomial, then that polynomial
+# has non-negative coefficients.
+
+
+def is_reciprocal(P: IntPoly) -> bool:
+    """Palindromic coefficient sequence; the zero polynomial counts as such."""
+    c = P.coeffs
+    return c == c[::-1]
+
+
+def is_unimodal(P: IntPoly) -> bool:
+    """Non-negative coefficients rising to a peak and then falling."""
+    c = P.coeffs
+    if any(x < 0 for x in c):
+        return False
+    falling = False
+    for i in range(1, len(c)):
+        if c[i] < c[i - 1]:
+            falling = True
+        elif c[i] > c[i - 1] and falling:
+            return False
+    return True
+
+
+def one_minus_q(t: int) -> IntPoly:
+    """1 - q**t."""
+    return IntPoly([1] + [0] * (t - 1) + [-1])
+
+
+def unimodal_quotient_check(P: IntPoly, m: int, n: int) -> bool:
+    """Is (1-q^m)/(1-q^n) * P(q) a polynomial with non-negative coefficients?
+
+    Rejects the input (ValueError) if the quotient is not a polynomial.
+    For reciprocal unimodal P with m <= n the lemma says this is true.
+    """
+    if not 1 <= m <= n:
+        raise ValueError("require 1 <= m <= n")
+    quotient = exact_div(mul(P, one_minus_q(m)), one_minus_q(n))
+    return all(c >= 0 for c in quotient.coeffs)
 
 
 # ---------------------------------------------------------------------------

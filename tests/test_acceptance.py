@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from divcert import core, divisibility, qdivisibility, qpoly
-from divcert.qpoly import IntPoly, QuotientExpr
+from divcert.qpoly import QuotientExpr
 
 # The 330n family reaches degree 340474 at n = 4; the default degree budget
 # is sized for interactive use, so criteria 7 and 10 raise it explicitly.
@@ -170,10 +170,9 @@ def test_criterion_9_oracle_equivalence():
                     expr = QuotientExpr((u,), (v,), m, k)
                     predicted = qpoly.is_polynomial(
                         qpoly.expr_factorization(expr))
-                    num = oracles.mul(binom, IntPoly([1] + [0] * (u - 1) + [-1]))
-                    den = IntPoly([1] + [0] * (v - 1) + [-1])
+                    num = oracles.mul(binom, oracles.one_minus_q(u))
                     try:
-                        oracles.exact_div(num, den)
+                        oracles.exact_div(num, oracles.one_minus_q(v))
                         divisible = True
                     except ValueError:
                         divisible = False

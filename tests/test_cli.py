@@ -151,12 +151,15 @@ class TestFab:
         # An inconclusive scan that stopped short of its cap.
         (["7", "36"], {"a": 7, "b": 36, "verdict": "inconclusive", "n": None,
                        "n_max": 5, "bound": BOUND_7_36}),
+        # An inconclusive scan up to the bound, which always holds a failing n.
+        (["7", "36"], {"a": 7, "b": 36, "verdict": "inconclusive", "n": None,
+                       "n_max": 2736, "bound": BOUND_7_36}),
         # A found n stored as true, which equals 1 but is not an integer.
         (["2", "3"], {"a": 2, "b": 3, "verdict": "found", "n": True,
                       "n_max": None, "bound": {"p": 2, "bound": 3, "s": 4}}),
     ], ids=["found-1-no-bound", "found-1", "found-bound-forged",
             "found-past-cap", "proven-zero-with-bound", "found-without-bound",
-            "inconclusive-short", "found-true"])
+            "inconclusive-short", "inconclusive-at-bound", "found-true"])
     def test_cache_forged_entry_recomputed(self, argv, record, tmp_path, capsys):
         n_cap = int(argv[3]) if len(argv) > 2 else None
         key = {"a": int(argv[0]), "b": int(argv[1]), "n_cap": n_cap}
@@ -250,6 +253,36 @@ class TestVerify:
         monkeypatch.setenv("DIVCERT_BUDGET_PRIME", "many")
         code, _, err = run_cli(["fab", "7", "36"], capsys)
         assert code == 64 and "DIVCERT_BUDGET_PRIME must be an integer" in err
+
+    @pytest.mark.parametrize("var, argv", [
+        ("DIVCERT_BUDGET_DEGREE", ["verify", "andrews", "--a-max", "1",
+                                   "--b-max", "1"]),
+        ("DIVCERT_BUDGET_PRIME", ["fab", "7", "36"]),
+    ])
+    def test_negative_budget_environment_refused(self, var, argv, capsys,
+                                                 monkeypatch):
+        # A negative degree budget once made every expansion fail its
+        # budget check, and the point was reported as "ok": false.
+        monkeypatch.setenv(var, "-7")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64 and out == ""
+        assert f"error: {var} must be an integer >= 0, not '-7'" in err
+
+    @pytest.mark.parametrize("argv, finished", [
+        (["verify", "thm_kn", "--n-max", "4"], 9),
+        (["verify", "andrews", "--a-max", "4", "--b-max", "4"], 15),
+        (["verify", "anbn", "--a-max", "2", "--b-max", "2", "--n-max", "3"], 5),
+    ])
+    def test_budget_stop_ends_grid_partial(self, argv, finished, capsys):
+        # These claims are non-negativity claims, so a budget that stops an
+        # expansion ends the grid; it never turns into "ok": false.
+        code, out, err = run_cli(["--budget-degree", "10"] + argv, capsys)
+        assert code == 3
+        records = parse_jsonl(out)
+        assert len(records) == finished + 1
+        assert all(r["ok"] for r in records[:-1])
+        assert records[-1]["partial"] is True
+        assert "error: expansion degree" in err and "exceeds budget 10" in err
 
     def test_budget_option_does_not_leak(self, capsys):
         argv = ["verify", "thm4", "--n-max", "1", "--expand"]
@@ -567,6 +600,13 @@ class TestInternalCheck:
         assert ("error: internal check failed: "
                 "Legendre and Kummer routes disagree") in err
 
+    def test_fab_scan_to_the_bound_without_failure_exit_70(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(core, "divides_binomial", lambda m, k, d: (True, []))
+        code, out, err = run_cli(["fab", "7", "36"], capsys)
+        assert code == 70 and out == ""
+        assert "error: internal check failed: no n up to the bound 2736" in err
+
     def test_cross_check_runs_under_optimize(self):
         # python -O strips bare asserts; the engine's cross-checks raise
         # AssertionError explicitly, so a planted fault still exits 70.
@@ -633,6 +673,10 @@ BELOW_LEAST = [
     (["conj", "oddp", "--p", "0", "--a-max", "2", "--b-max", "1",
       "--n-max", "2"], "--p: must be an integer >= 2"),
     (["conj", "oddp", "--p", "1"], "--p: must be an integer >= 2"),
+    (["--budget-prime", "-1", "fab", "7", "36"],
+     "--budget-prime: must be an integer >= 0"),
+    (["--budget-degree", "-7", "verify", "andrews", "--a-max", "1",
+      "--b-max", "1"], "--budget-degree: must be an integer >= 0"),
 ]
 
 
@@ -658,7 +702,7 @@ class TestUsageErrors:
                              ids=[" ".join(argv) for argv, _ in BELOW_LEAST])
     def test_bound_below_its_least_value_refused(self, argv, message, capsys):
         # Each of these once ran an empty or unchecked grid and reported
-        # its claim as holding, or took a negative scan cap.
+        # its claim as holding, or took a negative scan cap or budget.
         with pytest.raises(SystemExit) as exc:
             run_cli(argv, capsys)
         assert exc.value.code == 64

@@ -229,25 +229,22 @@ class TestFactorizeMemo:
 
 
 class TestLegendreValuation:
-    def test_examples(self):
-        assert core.legendre_valuation_factorial(10, 2) == 8
-        assert core.legendre_valuation_factorial(7, 11) == 0
-        # Floor-sum and digit-sum routes are asserted internally.
-        core.legendre_valuation_factorial(43 * 279, 5)
-
-    def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
-            core.legendre_valuation_factorial(10, 6)
-
     def test_brute_force(self):
+        # binom_valuation takes v_p(m!) - v_p(k!) - v_p((m-k)!) from
+        # Legendre's floor sums; here each v_p(n!) is counted factor by
+        # factor instead.
         for p in (2, 3, 5, 7):
-            running = 0
+            fact = [0]
             for n in range(1, 301):
-                i = n
+                i, v = n, 0
                 while i % p == 0:
-                    running += 1
                     i //= p
-                assert core.legendre_valuation_factorial(n, p) == running
+                    v += 1
+                fact.append(fact[-1] + v)
+            for m in range(0, 301, 7):
+                for k in range(0, m + 1):
+                    assert core.binom_valuation(m, k, p).valuation == (
+                        fact[m] - fact[k] - fact[m - k])
 
 
 class TestBinomValuation:

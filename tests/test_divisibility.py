@@ -62,6 +62,16 @@ class TestFab:
         r = divisibility.f_ab(2, 3)
         assert r.verdict == "found" and r.n <= 3
 
+    def test_full_scan_without_failure_is_internal_error(self, monkeypatch):
+        # The order bound guarantees a failing n up to the bound, so a scan
+        # that reaches it without one contradicts the theorem.
+        monkeypatch.setattr(core, "divides_binomial", lambda m, k, d: (True, []))
+        with pytest.raises(AssertionError, match="bound 2736"):
+            divisibility.f_ab(7, 36)
+        with pytest.raises(AssertionError):
+            divisibility.f_ab(7, 36, n_cap=2736)
+        assert divisibility.f_ab(7, 36, n_cap=2735).verdict == "inconclusive"
+
 
 class TestReducedModulus:
     def test_grid(self):
@@ -238,6 +248,12 @@ class TestFirstFailingN:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             divisibility.first_failing_n(3, 1, 1, 10)
+
+    @pytest.mark.parametrize("p", [0, 1, -3])
+    def test_rejects_p_below_two(self, p):
+        # p = 0 once checked nothing and reported that the pair survives.
+        with pytest.raises(ValueError, match="p >= 2"):
+            divisibility.first_failing_n(p, 3, 1, 5)
 
 
 class TestSurvivingPairs:

@@ -1,9 +1,13 @@
 """The reference implementations live in tests/oracles.py, not in the engine:
 no engine module still carries one of them, nor a second route to a
-quantity it computes once, nor a second way to set one of its limits."""
+quantity it computes once, nor a second way to set one of its limits, nor
+a public name that nothing in the engine uses."""
 
+import ast
+import collections
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -12,13 +16,16 @@ from divcert import core, divisibility, qdivisibility, qpoly
 LEFT_THE_ENGINE = [
     (qpoly, ("cyclotomic", "_cyclo_cache", "_cyclo_lock", "threading",
              "exact_div", "expand", "_mobius", "qbinom_poly",
-             "qbinom_factorization")),
+             "qbinom_factorization", "is_reciprocal", "is_unimodal",
+             "unimodal_quotient_check")),
     (qpoly.IntPoly, ("evaluate", "__add__", "__sub__", "__neg__", "__mul__",
-                     "shift")),
+                     "shift", "is_zero")),
+    (qpoly.CycloFactorization, ("sign",)),
     (core, ("gcd", "base_p_digits", "lucas_binom_mod_p", "totients_up_to",
             "totient_table", "_totients", "_totients_limit", "_totients_lock",
-            "radical")),
+            "radical", "legendre_valuation_factorial", "_legendre_sum")),
     (divisibility, ("lucas_residue_family", "surviving_pairs")),
+    (divisibility.PrimeWindowReport, ("range",)),
     (qdivisibility, ("b_nk_poly", "generalized_q_catalan", "IntPoly")),
 ]
 
@@ -42,3 +49,44 @@ def test_no_call_takes_its_own_limit(module):
     for fn in public:
         params = inspect.signature(fn).parameters
         assert not {"budget", "ceiling", "power_cap"} & params.keys(), fn.__name__
+
+
+ENGINE = Path(__file__).resolve().parents[1] / "src" / "divcert"
+
+# Public names the engine keeps without an engine caller.  The benchmark's
+# tracer hooks core.binom_valuation to count valuations, until ROADMAP item 1
+# counts them in core._valuation.
+UNUSED_KEPT = {"core.binom_valuation"}
+
+
+def _references(node) -> collections.Counter:
+    """How often each name is read, as a bare name or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public function, class and method."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_engine_name_is_used():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(ENGINE.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()),
+                collections.Counter())
+    unused = {f"{module}.{qualname}"
+              for module, tree in trees.items()
+              for qualname, node in _public_definitions(tree)
+              if total[node.name] == _references(node)[node.name]}
+    assert unused == UNUSED_KEPT

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from divcert import core, qdivisibility, qpoly
 from divcert.errors import BudgetExceededError
-from divcert.qpoly import IntPoly, QuotientExpr
+from divcert.qpoly import QuotientExpr
 
 
 def _q1_quotient(expr: QuotientExpr) -> Fraction:
@@ -125,6 +125,18 @@ class TestGcdBinomialQuotient:
                 v = qdivisibility.gcd_binomial_quotient_check(a, b)
                 assert v.polynomial and v.nonneg
 
+    def test_budget_raises(self, monkeypatch):
+        # Non-negativity is the claim here, so a budget that stops the
+        # expansion must not come back as a verdict.
+        monkeypatch.setattr(qpoly, "degree_budget", 10)
+        assert qdivisibility.gcd_binomial_quotient_check(3, 4).degree == 6
+        with pytest.raises(BudgetExceededError):
+            qdivisibility.gcd_binomial_quotient_check(4, 5)
+        with pytest.raises(BudgetExceededError):
+            qdivisibility.verify_gcd_central_quotient(4, 0)
+        with pytest.raises(BudgetExceededError):
+            qdivisibility.verify_gcd_catalan_family(1, 2, 3)
+
     def test_q1_specialization(self):
         for a in range(1, 13):
             for b in range(1, 13):
@@ -203,10 +215,10 @@ class TestExpandedFamiliesReciprocal:
             for c, mc, kc in qdivisibility.SINGLE_QUOTIENT_FAMILIES[:3]:
                 poly = qpoly.expand_expr(
                     QuotientExpr((1,), (c * n - 1,), mc * n, kc * n))
-                assert qpoly.is_reciprocal(poly)
+                assert oracles.is_reciprocal(poly)
         for n in range(1, 8):
             for k in range(1, n + 1):
-                assert qpoly.is_reciprocal(oracles.b_nk_poly(n, k))
+                assert oracles.is_reciprocal(oracles.b_nk_poly(n, k))
 
 
 class TestPolynomialityAgainstLongDivision:
@@ -221,10 +233,9 @@ class TestPolynomialityAgainstLongDivision:
                         expr = QuotientExpr((u,), (v,), m, k)
                         predicted = qpoly.is_polynomial(
                             qpoly.expr_factorization(expr))
-                        num = oracles.mul(binom, IntPoly([1] + [0] * (u - 1) + [-1]))
-                        den = IntPoly([1] + [0] * (v - 1) + [-1])
+                        num = oracles.mul(binom, oracles.one_minus_q(u))
                         try:
-                            oracles.exact_div(num, den)
+                            oracles.exact_div(num, oracles.one_minus_q(v))
                             divisible = True
                         except ValueError:
                             divisible = False
