@@ -2,13 +2,15 @@
 
 These two passes dominate the runtime of every polynomial expansion: a dense
 q-binomial quotient is built by repeatedly multiplying and exactly dividing
-by binomials 1 - q^t.
+by binomials 1 - q^t, always with t >= 1.
 
 Coefficient lists are plain ``list[int]`` (arbitrary precision), constant
 term first, and may carry trailing zeros; callers normalize.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 
 def mul_one_minus_qt(c: list, t: int) -> list:
@@ -21,9 +23,12 @@ def mul_one_minus_qt(c: list, t: int) -> list:
 
 
 def div_one_minus_qt(c: list, t: int) -> list:
-    """Exactly divide the coefficient list c by (1 - q**t).
+    """Exactly divide the coefficient list c by (1 - q**t), t >= 1.
 
-    Raises ValueError if the division leaves a remainder.
+    The quotient q satisfies q[i] = c[i] + q[i - t], so within each residue
+    class mod t it is the running sum of c; a class with one member is
+    already its own sum.  Raises ValueError if the division leaves a
+    remainder, that is if the top t running sums are not all zero.
     """
     n = len(c)
     if n == 0:
@@ -31,9 +36,8 @@ def div_one_minus_qt(c: list, t: int) -> list:
     if n < t:
         raise ValueError("not divisible by 1 - q^t")
     q = c[:]
-    for i in range(t, n):
-        q[i] += q[i - t]
-    for i in range(n - t, n):
-        if q[i] != 0:
-            raise ValueError("not divisible by 1 - q^t")
+    for r in range(min(t, n - t)):
+        q[r::t] = accumulate(c[r::t])
+    if any(q[n - t:]):
+        raise ValueError("not divisible by 1 - q^t")
     return q[: n - t]

@@ -71,11 +71,16 @@ def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
 _VERIFY_OPTIONS = ("n_max", "a_max", "b_max", "expand")
 
 
+# The summary fields that say a claim holds at every point.
+_CLAIM_FIELDS = ("all_ok", "all_found", "all_match")
+
+
 def _verify_rule(records):
     all_ok = all(r.get("ok", False) for r in records)
     partial = any(r.get("partial") for r in records)
+    # _cmd_grid turns a partial summary into exit 3.
     return ({"all_ok": all_ok, "partial": partial},
-            EXIT_PARTIAL if partial else EXIT_OK if all_ok else EXIT_INCONCLUSIVE)
+            EXIT_OK if all_ok else EXIT_INCONCLUSIVE)
 
 
 class _Claim(NamedTuple):
@@ -379,9 +384,14 @@ def _cmd_grid(id_option: str, args) -> int:
         args, args.command, params, claim.points(params),
         functools.partial(claim.worker, params), claim.verdict)
     summary, code = claim.rule(records)
-    if partial:
+    if partial or summary.get("partial"):
         summary["partial"] = True
         code = EXIT_PARTIAL
+        # A claim cannot hold over points that never finished; a finished
+        # record that contradicts it still makes it false.
+        for field in _CLAIM_FIELDS:
+            if summary.get(field) is True:
+                summary[field] = None
     _emit(args, args.command, params, records, summary, lines)
     return code
 

@@ -26,7 +26,8 @@ plain dict.
 
 :data:`degree_budget` is module state, like ``core.prime_budget``: the CLI
 sets it for the length of one call, and a library caller may assign it.
-No expansion takes a budget of its own.
+No expansion runs to a degree past it and no exponent vector to an index
+past it; neither takes a budget of its own.
 """
 
 from __future__ import annotations
@@ -146,10 +147,15 @@ def expr_factorization(expr: QuotientExpr) -> CycloFactorization:
 
     Each q-integer factor 1-q^t contributes chi(d | t) for every d >= 2,
     so only the divisors of t are visited; the d = 1 contributions cancel
-    by the balanced invariant.
+    by the balanced invariant.  The vector is dense up to the largest
+    index of the expression, so an index past :data:`degree_budget` is
+    refused before anything is allocated.
     """
-    exps = _qbinom_exponents(expr.binom_m, expr.binom_k)
     top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
+    if top > degree_budget:
+        raise BudgetExceededError(
+            f"exponent vector index {top} exceeds budget {degree_budget}")
+    exps = _qbinom_exponents(expr.binom_m, expr.binom_k)
     exps += [0] * (top + 1 - len(exps))
     for sign, ts in ((1, expr.numerator_ms), (-1, expr.denominator_ns)):
         for t in ts:

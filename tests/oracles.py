@@ -5,9 +5,10 @@ independent of the engine's (the Moebius expansion and the q-Pascal
 recurrence against :func:`divcert.qpoly.expand_expr`, the Lucas product
 against valuations, long division against exponent-vector polynomiality),
 or builds a claim of the source paper from engine results and checks it by
-a second route.  The hypotheses and the conclusion of the paper's
-positivity lemma are stated on this module's own polynomial arithmetic,
-not on the engine's kernels.  Polynomials are
+a second route.  The Moebius expansion, and the hypotheses and the
+conclusion of the paper's positivity lemma, are computed with this
+module's own polynomial arithmetic, never with the engine's kernels or its
+expansion.  Polynomials are
 :class:`divcert.qpoly.IntPoly` values, so they compare equal to engine
 results with the same coefficients.
 """
@@ -51,15 +52,22 @@ def sub(p: IntPoly, q: IntPoly) -> IntPoly:
     return add(p, neg(q))
 
 
+def _terms(p: IntPoly) -> list[tuple[int, int]]:
+    """(index, coefficient) of each non-zero coefficient of p."""
+    return [(i, c) for i, c in enumerate(p.coeffs) if c]
+
+
 def mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Schoolbook product."""
+    """Schoolbook product over the non-zero coefficients of q, so a
+    product with 1 - q**t costs O(len(p))."""
     a, b = p.coeffs, q.coeffs
     if not a or not b:
         return IntPoly()
+    terms = _terms(q)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 out[i + j] += ai * bj
     return IntPoly(out)
 
@@ -71,23 +79,32 @@ def shift(p: IntPoly, k: int) -> IntPoly:
     return IntPoly((0,) * k + p.coeffs)
 
 
+def one_minus_q(t: int) -> IntPoly:
+    """1 - q**t."""
+    return IntPoly([1] + [0] * (t - 1) + [-1])
+
+
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Polynomial long division; raises ValueError on a remainder."""
+    """Polynomial long division; raises ValueError on a remainder.
+
+    Each step visits only the non-zero coefficients of den, so dividing
+    by 1 - q**t costs O(len(num))."""
     if not den.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
     if not num.coeffs:
         return num
     rem = list(num.coeffs)
-    d = list(den.coeffs)
-    lead = d[-1]
-    out = [0] * (len(rem) - len(d) + 1)
+    top = den.degree
+    lead = den.coeffs[-1]
+    terms = _terms(den)
+    out = [0] * (len(rem) - top)
     for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[i + len(d) - 1], lead)
+        q, r = divmod(rem[i + top], lead)
         if r:
             raise ValueError("division leaves a remainder")
         out[i] = q
         if q:
-            for j, dj in enumerate(d):
+            for j, dj in terms:
                 rem[i + j] -= q * dj
     if any(rem):
         raise ValueError("division leaves a remainder")
@@ -127,8 +144,9 @@ def expand(f: qpoly.CycloFactorization) -> IntPoly:
 
     Uses the Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)}
     (d >= 2) to reduce the product to passes of multiplication and exact
-    division by binomials 1-q^t.  The final degree is checked against
-    sum e_d * phi(d).
+    division by binomials 1-q^t, done with this module's own :func:`mul`
+    and :func:`exact_div`, never the engine's kernels.  The final degree is
+    checked against sum e_d * phi(d).
     """
     if not qpoly.is_polynomial(f):
         raise ValueError("expansion requires a polynomial (all exponents >= 0)")
@@ -153,12 +171,13 @@ def expand(f: qpoly.CycloFactorization) -> IntPoly:
                 g[t] = g.get(t, 0) + mu * e_d
 
     powers = sorted(g.items())
-    coeffs = qpoly._binomial_quotient(
-        [t for t, e in powers for _ in range(e)],
-        [t for t, e in powers for _ in range(-e)])
-    if sign < 0:
-        coeffs = [-c for c in coeffs]
-    result = IntPoly(coeffs)
+    result = IntPoly([sign])
+    for t, e in powers:
+        for _ in range(e):
+            result = mul(result, one_minus_q(t))
+    for t, e in powers:
+        for _ in range(-e):
+            result = exact_div(result, one_minus_q(t))
     assert result.degree == expected_degree, "degree bookkeeping violated"
     return result
 
@@ -210,11 +229,6 @@ def is_unimodal(P: IntPoly) -> bool:
         elif c[i] > c[i - 1] and falling:
             return False
     return True
-
-
-def one_minus_q(t: int) -> IntPoly:
-    """1 - q**t."""
-    return IntPoly([1] + [0] * (t - 1) + [-1])
 
 
 def unimodal_quotient_check(P: IntPoly, m: int, n: int) -> bool:

@@ -220,7 +220,8 @@ class TestVerify:
         code, out, _ = run_cli(
             ["verify", "thm4", "--n-max", "1", "--expand"], capsys)
         assert code == 3
-        assert parse_jsonl(out)[-1]["partial"] is True
+        summary = parse_jsonl(out)[-1]
+        assert summary["partial"] is True and summary["all_ok"] is None
 
     @pytest.mark.parametrize("argv", [
         ["--budget-degree", "0", "verify", "thm4", "--n-max", "1", "--expand"],
@@ -282,7 +283,36 @@ class TestVerify:
         assert len(records) == finished + 1
         assert all(r["ok"] for r in records[:-1])
         assert records[-1]["partial"] is True
+        assert records[-1]["all_ok"] is None
         assert "error: expansion degree" in err and "exceeds budget 10" in err
+
+    def test_anbn_exponent_index_past_budget_stops_grid(self, capsys):
+        # (1, 9, 1) has degree 0, but its second displayed form's exponent
+        # vector runs to index 11, past the budget.
+        code, out, err = run_cli(["--budget-degree", "10", "verify", "anbn",
+                                  "--a-max", "1", "--b-max", "9", "--n-max", "1"],
+                                 capsys)
+        assert code == 3
+        assert [r.get("b") for r in parse_jsonl(out)] == [*range(1, 9), None]
+        assert "error: exponent vector index 11 exceeds budget 10" in err
+
+    def test_partial_summary_keeps_a_contradiction(self, capsys, monkeypatch):
+        # A finished record that refutes the claim keeps all_ok false even
+        # though the budget stops the grid.
+        from divcert import qdivisibility
+        honest = qdivisibility.verify_gcd_central_quotient
+
+        def planted(n, k):
+            v = honest(n, k)
+            if (n, k) == (1, 0):
+                v = v._replace(nonneg=False, negative_positions=((0, -1),))
+            return v
+        monkeypatch.setattr(qdivisibility, "verify_gcd_central_quotient", planted)
+        code, out, _ = run_cli(
+            ["--budget-degree", "10", "verify", "thm_kn", "--n-max", "4"], capsys)
+        summary = parse_jsonl(out)[-1]
+        assert code == 3 and summary["partial"] is True
+        assert summary["all_ok"] is False
 
     def test_budget_option_does_not_leak(self, capsys):
         argv = ["verify", "thm4", "--n-max", "1", "--expand"]
@@ -511,7 +541,17 @@ class TestConj:
         assert records[0]["matches_pattern"] is True
         assert records[-1]["partial"] is True
         assert records[-1]["record_count"] == 1
+        assert records[-1]["all_match"] is None
         assert "error: expansion degree" in err
+
+    def test_c330n88n_exponent_vector_over_budget(self, capsys):
+        # Its exponent vector would run to index 3 * 10**8.
+        code, out, err = run_cli(["--budget-degree", "1000", "conj", "c330n88n",
+                                  "--n", "10000000"], capsys)
+        assert code == 3
+        summary = parse_jsonl(out)[-1]
+        assert summary["record_count"] == 0 and summary["all_match"] is None
+        assert "error: exponent vector index 300000000 exceeds budget 1000" in err
 
     def test_c330n88n_n_zero_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -579,6 +619,15 @@ class TestQbinomTheta:
         assert code == 0
         assert parse_jsonl(out)[0]["exponents"] == {
             "2": 1, "4": 1, "5": 1, "6": 1}
+
+    def test_qbinom_exponents_budget(self, capsys):
+        # The vector is dense up to index m, so m past the degree budget is
+        # refused before it is built, even where every exponent is zero.
+        code, out, err = run_cli(
+            ["--budget-degree", "1000", "qbinom", "5000", "0", "--exponents"],
+            capsys)
+        assert (code, out) == (3, "")
+        assert "error: exponent vector index 5000 exceeds budget 1000" in err
 
     def test_theta(self, capsys):
         code, out, _ = run_cli(["theta", "10"], capsys)

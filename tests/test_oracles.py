@@ -1,7 +1,8 @@
 """The reference implementations live in tests/oracles.py, not in the engine:
 no engine module still carries one of them, nor a second route to a
 quantity it computes once, nor a second way to set one of its limits, nor
-a public name that nothing in the engine uses."""
+a public name that nothing in the engine uses.  The oracles in turn do not
+expand through the engine's kernels."""
 
 import ast
 import collections
@@ -90,3 +91,27 @@ def test_every_public_engine_name_is_used():
               for qualname, node in _public_definitions(tree)
               if total[node.name] == _references(node)[node.name]}
     assert unused == UNUSED_KEPT
+
+
+# The engine's expansion passes; an oracle that ran through them would
+# check the engine against itself.
+ENGINE_EXPANSION = {"_binomial_quotient", "mul_one_minus_qt",
+                    "div_one_minus_qt", "_kernels"}
+
+
+def _imported_and_read(tree) -> set[str]:
+    """Every name read (bare or as an attribute) or imported, with each
+    dotted module path split into its parts."""
+    names = set(_references(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_oracles_do_not_use_the_engine_kernels():
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    assert not ENGINE_EXPANSION & _imported_and_read(tree)

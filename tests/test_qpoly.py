@@ -55,6 +55,40 @@ class TestKernels:
         with pytest.raises(ValueError):
             div_one_minus_qt([1, 1, 1], 2)
 
+    def test_div_matches_long_division(self):
+        # Lengths 1-200 with a non-zero top coefficient, t up to past the
+        # length (so t = len and t > len both occur), coefficients up to
+        # 2**200; half the cases are exact products, so both quotients and
+        # remainders are compared with the oracle's long division.
+        rng = random.Random(1301)
+        big = 2**200
+
+        def coeffs(length):
+            """length coefficients, the last one non-zero."""
+            return [rng.randrange(-big, big) for _ in range(length - 1)] + [
+                rng.choice((-1, 1)) * rng.randrange(1, big)]
+        seen = {"exact": 0, "remainder": 0, "t = len": 0, "t > len": 0}
+        for case in range(3200):
+            if case % 2:
+                t = rng.randrange(1, 200)
+                c = list(oracles.mul(IntPoly(coeffs(rng.randrange(1, 201 - t))),
+                                     oracles.one_minus_q(t)).coeffs)
+            else:
+                c = coeffs(rng.randrange(1, 201))
+                t = rng.randrange(1, len(c) + 6)
+            seen["t = len"] += t == len(c)
+            seen["t > len"] += t > len(c)
+            try:
+                expected = oracles.exact_div(IntPoly(c), oracles.one_minus_q(t))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    div_one_minus_qt(c, t)
+                seen["remainder"] += 1
+                continue
+            assert IntPoly(div_one_minus_qt(c, t)) == expected
+            seen["exact"] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_reported_as_python(self):
         assert divcert.KERNEL_BACKEND == "python"
 
@@ -235,6 +269,17 @@ class TestExpand:
             qpoly.expand_expr(QuotientExpr((), (), 1000, 500))
         with pytest.raises(BudgetExceededError):
             oracles.qbinom_poly(1000, 500)
+
+    def test_exponent_vector_budget(self, monkeypatch):
+        # The vector runs to the largest index of the expression, wherever
+        # that index sits; at the budget it is still built.
+        monkeypatch.setattr(qpoly, "degree_budget", 100)
+        assert qpoly.expr_factorization(QuotientExpr((), (), 100, 0)).exponents == {}
+        for expr in (QuotientExpr((), (), 101, 0),
+                     QuotientExpr((1,), (101,), 3, 1),
+                     QuotientExpr((101,), (1,), 3, 1)):
+            with pytest.raises(BudgetExceededError, match="index 101 exceeds"):
+                qpoly.expr_factorization(expr)
         assert qpoly.expand_expr(QuotientExpr((), (), 20, 5)).degree == 75
 
     def test_negative_phi1_sign(self):
