@@ -10,15 +10,15 @@ term first, and may carry trailing zeros; callers normalize.
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate
 
 
 def mul_one_minus_qt(c: list, t: int) -> list:
-    """Multiply the coefficient list c by (1 - q**t)."""
-    n = len(c)
+    """Multiply the coefficient list c by (1 - q**t), t >= 1, subtracting
+    c shifted by t in one slice pass."""
     out = c + [0] * t
-    for i in range(n):
-        out[i + t] -= c[i]
+    out[t:] = map(operator.sub, out[t:], c)
     return out
 
 

@@ -30,6 +30,7 @@ same way.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from typing import NamedTuple
@@ -86,7 +87,7 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 def is_prime(n: int) -> bool:

@@ -9,11 +9,12 @@ negative-coefficient pattern checker for the
 Polynomiality is always decided on cyclotomic exponents: a family verdict
 reads only the exponents of Phi_d for d dividing a denominator index, and
 takes the degree in closed form (:func:`qpoly.polynomiality`).  The
-pattern checker and the q-Catalan family keep the full exponent vector,
-because they compare it with a closed form and with a second displayed
-form.  Dense coefficients are expanded only when a coefficient-level
-verdict (non-negativity, negative positions) is requested and within
-budget.
+q-Catalan family compares its two displayed forms on the exponents of
+Phi_d for d dividing their denominator indices, the only places where the
+forms can differ.  The pattern checker keeps the full exponent vector,
+because it compares its degree with a closed form.  Dense coefficients are
+expanded only when a coefficient-level verdict (non-negativity, negative
+positions) is requested and within budget.
 """
 
 from __future__ import annotations
@@ -139,24 +140,34 @@ def verify_gcd_catalan_family(a: int, b: int, n: int) -> QFamilyVerdict:
     """Verdict for (1-q^{gcd(an, bn+1)})/(1-q^{bn+1}) [an+bn, an]_q.
 
     The second displayed form with denominator 1-q^{an+bn+1} and binomial
-    [an+bn+1, an]_q is computed as well; the two exponent vectors must be
-    identical.  The verdict itself is the gcd binomial quotient
-    check at (an, bn+1).
+    [an+bn+1, an]_q must have the same cyclotomic exponents.  With
+    N = an+bn, the Gaussian parts' exponents of Phi_d differ by
+    chi(d | N+1) - chi(d | bn+1) and the denominators' by the negative of
+    that, so the forms can differ only at d dividing N+1 or bn+1; they are
+    compared there.  The verdict itself is the gcd binomial quotient check
+    at (an, bn+1).
     """
     if min(a, b, n) < 1:
         raise ValueError("require a, b, n >= 1")
-    g = math.gcd(a * n, b * n + 1)
-    form1 = QuotientExpr((g,), (b * n + 1,), a * n + b * n, a * n)
-    form2 = QuotientExpr((g,), (a * n + b * n + 1,), a * n + b * n + 1, a * n)
-    f1 = qpoly.expr_factorization(form1)
-    f2 = qpoly.expr_factorization(form2)
-    if f1.exponents != f2.exponents:
+    if not _displayed_forms_agree(a, b, n):
         raise AssertionError("the two displayed forms differ")
     verdict = gcd_binomial_quotient_check(a * n, b * n + 1)
     return QFamilyVerdict(
         "gcd-catalan", (("a", a), ("b", b), ("n", n)),
         verdict.polynomial, verdict.nonneg, verdict.negative_positions,
         verdict.degree)
+
+
+def _displayed_forms_agree(a: int, b: int, n: int) -> bool:
+    """Whether the two displayed forms of the q-Catalan family at (a, b, n)
+    have equal exponents of Phi_d at every d >= 2 dividing an+bn+1 or
+    bn+1."""
+    g = math.gcd(a * n, b * n + 1)
+    indices = (b * n + 1, a * n + b * n + 1)
+    form1 = QuotientExpr((g,), (b * n + 1,), a * n + b * n, a * n)
+    form2 = QuotientExpr((g,), (a * n + b * n + 1,), a * n + b * n + 1, a * n)
+    return (dict(qpoly.divisor_exponents(form1, indices))
+            == dict(qpoly.divisor_exponents(form2, indices)))
 
 
 def check_c330n88n(n: int) -> tuple[int, list[tuple[int, int]]]:

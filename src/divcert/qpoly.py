@@ -7,12 +7,12 @@ The canonical internal form of a quotient expression is its cyclotomic
 exponent vector: the expression prod_d Phi_d(q)**e_d is a polynomial
 iff every e_d is non-negative, which is decidable by floor arithmetic alone.
 Only Phi_d with d dividing a denominator index can get a negative exponent,
-so :func:`polynomiality` decides a quotient on those exponents alone and
-gives its degree in closed form; the dense vector is built by
-:func:`expr_factorization` for callers that compare it.  Dense coefficients
-are only produced on demand, by :func:`expand_expr`.  A Gaussian polynomial
-[m, k]_q is the expression with no q-integer factors, so both functions
-serve it too.
+so :func:`polynomiality` decides a quotient on those exponents alone
+(:func:`divisor_exponents`) and gives its degree in closed form; the dense
+vector is built by :func:`expr_factorization` for callers that need all of
+it.  Dense coefficients are only produced on demand, by :func:`expand_expr`.
+A Gaussian polynomial [m, k]_q is the expression with no q-integer factors,
+so both functions serve it too.
 
 :class:`IntPoly` is the value :func:`expand_expr` returns: a normalized
 coefficient tuple with equality and hashing, and no arithmetic.
@@ -149,13 +149,17 @@ def expr_factorization(expr: QuotientExpr) -> CycloFactorization:
     so only the divisors of t are visited; the d = 1 contributions cancel
     by the balanced invariant.  The vector is dense up to the largest
     index of the expression, so an index past :data:`degree_budget` is
-    refused before anything is allocated.
+    refused before anything is allocated.  [m, 0]_q = [m, m]_q = 1 has no
+    index, so it adds nothing to the vector.
     """
-    top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
+    m, k = expr.binom_m, expr.binom_k
+    if k == 0 or k == m:
+        m = k = 0
+    top = max([m, *expr.numerator_ms, *expr.denominator_ns])
     if top > degree_budget:
         raise BudgetExceededError(
             f"exponent vector index {top} exceeds budget {degree_budget}")
-    exps = _qbinom_exponents(expr.binom_m, expr.binom_k)
+    exps = _qbinom_exponents(m, k)
     exps += [0] * (top + 1 - len(exps))
     for sign, ts in ((1, expr.numerator_ms), (-1, expr.denominator_ns)):
         for t in ts:
@@ -164,24 +168,35 @@ def expr_factorization(expr: QuotientExpr) -> CycloFactorization:
     return CycloFactorization({d: e for d, e in enumerate(exps) if e})
 
 
+def divisor_exponents(expr: QuotientExpr, indices):
+    """(d, exponent of Phi_d) in a quotient expression, for each d >= 2
+    dividing one of the given indices, zero exponents included.
+
+    The exponent is floor(m/d) - floor(k/d) - floor((m-k)/d) from
+    [m, k]_q, plus the numerator indices d divides, minus the denominator
+    indices d divides.
+    """
+    m, k = expr.binom_m, expr.binom_k
+    r = m - k
+    ms, ns = expr.numerator_ms, expr.denominator_ns
+    for d in {d for t in indices for d in _divisors(t)[1:]}:
+        yield d, (m // d - k // d - r // d + sum(t % d == 0 for t in ms)
+                  - sum(t % d == 0 for t in ns))
+
+
 def polynomiality(expr: QuotientExpr) -> tuple[bool, int]:
     """(is a polynomial, degree) of a quotient expression; degree 0 if not.
 
     The Gaussian factor's exponents are non-negative and each numerator
     index t adds chi(d | t), so only a Phi_d with d dividing a denominator
-    index can go negative.  Its exact exponent is
-    floor(m/d) - floor(k/d) - floor((m-k)/d) plus the numerator indices d
-    divides, minus the denominator indices d divides.  The degree is
-    k(m-k) + sum(ms) - sum(ns), since 1-q^t has degree t.
+    index can go negative; those exponents come from
+    :func:`divisor_exponents`.  The degree is k(m-k) + sum(ms) - sum(ns),
+    since 1-q^t has degree t.
     """
-    m, k = expr.binom_m, expr.binom_k
-    r = m - k
-    for d in {d for t in expr.denominator_ns for d in _divisors(t)[1:]}:
-        e = m // d - k // d - r // d
-        e += sum(t % d == 0 for t in expr.numerator_ms)
-        e -= sum(t % d == 0 for t in expr.denominator_ns)
+    for _, e in divisor_exponents(expr, expr.denominator_ns):
         if e < 0:
             return False, 0
+    k, r = expr.binom_k, expr.binom_m - expr.binom_k
     return True, k * r + sum(expr.numerator_ms) - sum(expr.denominator_ns)
 
 

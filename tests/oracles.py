@@ -3,12 +3,13 @@
 None of these runs on an engine path.  Each computes its answer by a route
 independent of the engine's (the Moebius expansion and the q-Pascal
 recurrence against :func:`divcert.qpoly.expand_expr`, the Lucas product
-against valuations, long division against exponent-vector polynomiality),
-or builds a claim of the source paper from engine results and checks it by
-a second route.  The Moebius expansion, and the hypotheses and the
-conclusion of the paper's positivity lemma, are computed with this
-module's own polynomial arithmetic, never with the engine's kernels or its
-expansion.  Polynomials are
+against valuations, long division against exponent-vector polynomiality,
+trial division against the sieve, dense exponent vectors against the
+exponents at divisors), or builds a claim of the source paper from engine
+results and checks it by a second route.  The Moebius expansion, and the
+hypotheses and the conclusion of the paper's positivity lemma, are
+computed with this module's own polynomial arithmetic, never with the
+engine's kernels or its expansion.  Polynomials are
 :class:`divcert.qpoly.IntPoly` values, so they compare equal to engine
 results with the same coefficients.
 """
@@ -16,6 +17,7 @@ results with the same coefficients.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from divcert import core, divisibility, qpoly
@@ -128,6 +130,33 @@ def cyclotomic(d: int) -> IntPoly:
     for e in qpoly._divisors(d)[:-1]:
         den = mul(den, cyclotomic(e))
     return exact_div(num, den)
+
+
+def cyclotomic_exponents(expr: QuotientExpr) -> dict[int, int]:
+    """Non-zero exponents of Phi_d, d >= 2, in a quotient expression: every
+    d up to its largest index, tested against every index."""
+    top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
+    m, k = expr.binom_m, expr.binom_k
+    exps = {}
+    for d in range(2, top + 1):
+        e = m // d - k // d - (m - k) // d
+        e += sum(1 for t in expr.numerator_ms if t % d == 0)
+        e -= sum(1 for t in expr.denominator_ns if t % d == 0)
+        if e:
+            exps[d] = e
+    return exps
+
+
+def catalan_forms_agree(a: int, b: int, n: int) -> bool:
+    """Whether the two displayed forms of the gcd q-Catalan family,
+    (1-q^g)/(1-q^{bn+1}) [an+bn, an]_q and
+    (1-q^g)/(1-q^{an+bn+1}) [an+bn+1, an]_q with g = gcd(an, bn+1), have
+    the same dense cyclotomic exponent vector."""
+    g = math.gcd(a * n, b * n + 1)
+    return (cyclotomic_exponents(
+                QuotientExpr((g,), (b * n + 1,), a * n + b * n, a * n))
+            == cyclotomic_exponents(
+                QuotientExpr((g,), (a * n + b * n + 1,), a * n + b * n + 1, a * n)))
 
 
 def mobius(n: int) -> int:
@@ -286,6 +315,16 @@ def generalized_q_catalan(a: int, b: int, n: int) -> IntPoly:
 
 # ---------------------------------------------------------------------------
 # Integer side.
+
+
+def trial_division_primes(limit: int) -> list[int]:
+    """All primes <= limit, ascending: each n >= 2 is kept if no prime
+    already kept, up to its square root, divides it."""
+    primes: list[int] = []
+    for n in range(2, limit + 1):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+    return primes
 
 
 def base_p_digits(n: int, p: int) -> list[int]:

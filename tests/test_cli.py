@@ -286,15 +286,16 @@ class TestVerify:
         assert records[-1]["all_ok"] is None
         assert "error: expansion degree" in err and "exceeds budget 10" in err
 
-    def test_anbn_exponent_index_past_budget_stops_grid(self, capsys):
-        # (1, 9, 1) has degree 0, but its second displayed form's exponent
-        # vector runs to index 11, past the budget.
+    def test_anbn_forms_compared_past_the_index_budget(self, capsys):
+        # (1, 9, 1) has degree 0 and its second displayed form has index
+        # 11; the forms are compared on divisors, with no vector to budget.
         code, out, err = run_cli(["--budget-degree", "10", "verify", "anbn",
                                   "--a-max", "1", "--b-max", "9", "--n-max", "1"],
                                  capsys)
-        assert code == 3
-        assert [r.get("b") for r in parse_jsonl(out)] == [*range(1, 9), None]
-        assert "error: exponent vector index 11 exceeds budget 10" in err
+        records = parse_jsonl(out)
+        assert code == 0 and "error" not in err
+        assert [r.get("b") for r in records] == [*range(1, 10), None]
+        assert records[-1]["all_ok"] is True and records[-1]["partial"] is False
 
     def test_partial_summary_keeps_a_contradiction(self, capsys, monkeypatch):
         # A finished record that refutes the claim keeps all_ok false even
@@ -622,12 +623,20 @@ class TestQbinomTheta:
 
     def test_qbinom_exponents_budget(self, capsys):
         # The vector is dense up to index m, so m past the degree budget is
-        # refused before it is built, even where every exponent is zero.
+        # refused before it is built.
         code, out, err = run_cli(
-            ["--budget-degree", "1000", "qbinom", "5000", "0", "--exponents"],
+            ["--budget-degree", "1000", "qbinom", "5000", "1", "--exponents"],
             capsys)
         assert (code, out) == (3, "")
         assert "error: exponent vector index 5000 exceeds budget 1000" in err
+
+    def test_qbinom_trivial_exponents_need_no_budget(self, capsys):
+        # [m, 0]_q = [m, m]_q = 1 has an empty vector at any m.
+        for k in ("0", "200000000"):
+            code, out, _ = run_cli(
+                ["qbinom", "200000000", k, "--exponents"], capsys)
+            assert code == 0
+            assert parse_jsonl(out)[0]["exponents"] == {}
 
     def test_theta(self, capsys):
         code, out, _ = run_cli(["theta", "10"], capsys)
@@ -672,6 +681,22 @@ class TestInternalCheck:
         assert proc.stdout == ""
         assert ("error: internal check failed: "
                 "Legendre and Kummer routes disagree") in proc.stderr
+
+    def test_planted_form_difference_exit_70(self, capsys, monkeypatch):
+        # At (1, 9, 1) the second displayed form is (1-q)/(1-q^11) [11, 1]_q.
+        # One more Phi_11 in it is a difference at a divisor of an+bn+1.
+        honest = qpoly.divisor_exponents
+
+        def planted(expr, indices):
+            for d, e in honest(expr, indices):
+                yield d, e + (d == expr.binom_m == 11)
+
+        monkeypatch.setattr(qpoly, "divisor_exponents", planted)
+        code, out, err = run_cli(["verify", "anbn", "--a-max", "1",
+                                  "--b-max", "9", "--n-max", "1"], capsys)
+        assert code == 70
+        assert out == ""
+        assert "error: internal check failed: the two displayed forms differ" in err
 
     def test_kernel_remainder_exit_70(self, capsys, monkeypatch):
         # Polynomiality is decided before any expansion, so a remainder in

@@ -1,3 +1,4 @@
+import bisect
 import math
 import types
 
@@ -105,6 +106,17 @@ class TestPrimes:
         assert len(primes) == sum(
             1 for n in range(2, 3762) if all(n % d for d in range(2, math.isqrt(n) + 1)))
         assert len(primes) == 523
+
+    def test_matches_trial_division(self):
+        # Every limit to 2,000; each side of every prime square to 316**2,
+        # where the last prime that crosses anything out changes; and 10**5.
+        oracle = oracles.trial_division_primes(10**5)
+        limits = [*range(2, 2001), 10**5]
+        for p in oracle[:bisect.bisect_right(oracle, 316)]:
+            limits += [p * p - 1, p * p, p * p + 1]
+        for limit in limits:
+            expected = oracle[:bisect.bisect_right(oracle, limit)]
+            assert core.primes_up_to(limit) == expected, limit
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(core, "prime_budget", 10)

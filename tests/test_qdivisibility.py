@@ -158,6 +158,22 @@ class TestGcdCatalanFamily:
                     v = qdivisibility.verify_gcd_catalan_family(a, b, n)
                     assert v.polynomial and v.nonneg
 
+    def test_forms_compared_on_divisors_match_dense_vectors(self):
+        # The engine compares the forms only at d dividing an+bn+1 or bn+1;
+        # the oracle compares both dense vectors at every d.
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for n in range(1, 9):
+                    assert qdivisibility._displayed_forms_agree(a, b, n)
+                    assert oracles.catalan_forms_agree(a, b, n)
+
+    def test_forms_comparison_needs_no_exponent_vector(self, monkeypatch):
+        # (1, 9, 1) has degree 0; its second form's largest index is 11.
+        monkeypatch.setattr(qpoly, "degree_budget", 10)
+        monkeypatch.setattr(qpoly, "expr_factorization", None)
+        v = qdivisibility.verify_gcd_catalan_family(1, 9, 1)
+        assert v.polynomial and v.nonneg and v.degree == 0
+
     def test_identity_behind_forms(self):
         # (1-q^(m+1)) [m, k]_q = (1-q^(m+1-k)) [m+1, k]_q as polynomials.
         for m in range(1, 15):

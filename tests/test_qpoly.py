@@ -44,6 +44,29 @@ class TestKernels:
     def test_mul(self):
         assert mul_one_minus_qt([1, 1], 2) == [1, 1, -1, -1]
 
+    def test_mul_matches_oracle(self):
+        # Lengths 1-200, some with trailing zeros, coefficients up to
+        # 2**200, t from 1 to past the length; compared with the oracle's
+        # schoolbook product, and the input is left as it was.
+        rng = random.Random(1302)
+        big = 2**200
+        seen = {"t < len": 0, "t = len": 0, "t > len": 0, "trailing zeros": 0}
+        for case in range(3200):
+            c = [rng.randrange(-big, big) for _ in range(rng.randrange(1, 201))]
+            if case % 8 == 0:
+                c[rng.randrange(len(c)):] = [0] * rng.randrange(1, 4)
+                seen["trailing zeros"] += 1
+            t = rng.randrange(1, len(c) + 6)
+            seen["t < len"] += t < len(c)
+            seen["t = len"] += t == len(c)
+            seen["t > len"] += t > len(c)
+            before = c[:]
+            out = mul_one_minus_qt(c, t)
+            assert c == before
+            assert len(out) == len(c) + t
+            assert IntPoly(out) == oracles.mul(IntPoly(c), oracles.one_minus_q(t))
+        assert min(seen.values()) >= 10, seen
+
     def test_div_roundtrip(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -171,20 +194,6 @@ class TestQuotientExpr:
         assert not qpoly.is_polynomial(f)
 
 
-def _expr_exponents_per_d(expr: QuotientExpr) -> dict[int, int]:
-    """Oracle: every d up to the largest index, tested against every index."""
-    top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
-    m, k = expr.binom_m, expr.binom_k
-    exps = {}
-    for d in range(2, top + 1):
-        e = m // d - k // d - (m - k) // d
-        e += sum(1 for t in expr.numerator_ms if t % d == 0)
-        e -= sum(1 for t in expr.denominator_ns if t % d == 0)
-        if e:
-            exps[d] = e
-    return exps
-
-
 @st.composite
 def balanced_exprs(draw):
     m = draw(st.integers(0, 60))
@@ -201,7 +210,16 @@ class TestExprFactorizationOracle:
     def test_matches_per_d_loop(self, expr):
         f = qpoly.expr_factorization(expr)
         assert list(f.exponents.items()) == list(
-            _expr_exponents_per_d(expr).items())
+            oracles.cyclotomic_exponents(expr).items())
+
+    @given(balanced_exprs(), st.lists(st.integers(1, 150), max_size=3))
+    @settings(max_examples=300)
+    def test_divisor_exponents_match_per_d_loop(self, expr, indices):
+        dense = oracles.cyclotomic_exponents(expr)
+        got = dict(qpoly.divisor_exponents(expr, indices))
+        assert set(got) == {d for t in indices for d in range(2, t + 1)
+                            if t % d == 0}
+        assert all(e == dense.get(d, 0) for d, e in got.items())
 
     @given(balanced_exprs())
     @settings(max_examples=300)
@@ -274,13 +292,26 @@ class TestExpand:
         # The vector runs to the largest index of the expression, wherever
         # that index sits; at the budget it is still built.
         monkeypatch.setattr(qpoly, "degree_budget", 100)
-        assert qpoly.expr_factorization(QuotientExpr((), (), 100, 0)).exponents == {}
-        for expr in (QuotientExpr((), (), 101, 0),
+        assert qpoly.expr_factorization(QuotientExpr((), (), 100, 1)).exponents == {
+            d: 1 for d in (2, 4, 5, 10, 20, 25, 50, 100)}
+        for expr in (QuotientExpr((), (), 101, 1),
                      QuotientExpr((1,), (101,), 3, 1),
                      QuotientExpr((101,), (1,), 3, 1)):
             with pytest.raises(BudgetExceededError, match="index 101 exceeds"):
                 qpoly.expr_factorization(expr)
         assert qpoly.expand_expr(QuotientExpr((), (), 20, 5)).degree == 75
+
+    def test_trivial_gaussian_has_no_index(self, monkeypatch):
+        # [m, 0]_q = [m, m]_q = 1: no dense vector, so no budget to meet.
+        monkeypatch.setattr(qpoly, "degree_budget", 100)
+        for m in (0, 1, 2, 101, 2 * 10**8):
+            for k in {0, m}:
+                assert qpoly.expr_factorization(
+                    QuotientExpr((), (), m, k)).exponents == {}
+        assert qpoly.expr_factorization(
+            QuotientExpr((6,), (3,), 10**9, 0)).exponents == {2: 1, 6: 1}
+        with pytest.raises(BudgetExceededError, match="index 101 exceeds"):
+            qpoly.expr_factorization(QuotientExpr((101,), (1,), 10**9, 10**9))
 
     def test_negative_phi1_sign(self):
         f = qpoly.CycloFactorization({1: 1})
