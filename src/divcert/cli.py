@@ -8,7 +8,9 @@ wall-clock timing is reported on stderr rather than inside the records.
 
 Exit codes: 0 success / all expected verdicts true, 2 inconclusive or
 exhausted search, 3 partial results due to a budget, 64 usage error,
-70 a failed internal cross-check.
+70 a failed internal cross-check, 74 a report or checkpoint that cannot
+be read or written (an OSError, such as a missing directory or a closed
+pipe).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_PARTIAL = 3
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,56 +236,25 @@ _GRIDS = {
 # Grid running, checkpointing, reporting.
 
 def _map_ordered(worker, points, width):
+    # A pool wider than the points left or the CPUs would only idle.
+    width = min(width, len(points), os.cpu_count() or 1)
     if width <= 1:
         yield from map(worker, points)
         return
-    # Only --par above 1 pays for loading the process pool.
+    # Only a width above 1 pays for loading the process pool.
     from concurrent.futures import ProcessPoolExecutor
 
     # Workers start with the budgets of this call, however they are started.
     with ProcessPoolExecutor(max_workers=width, initializer=_set_budgets,
                              initargs=(core.prime_budget,
                                        qpoly.degree_budget)) as ex:
-        chunk = max(1, len(points) // (width * 8)) if points else 1
+        chunk = max(1, len(points) // (width * 8))
         yield from ex.map(worker, points, chunksize=chunk)
 
 
 def _refuse(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
-
-
-def _read_log(path: str, kind: str, entry, check=None) -> list:
-    """The entries of an append-only log: a JSON header line, then one JSON
-    entry per line, each read by `entry`.
-
-    Refuses a header that is not a JSON object, comes from another engine
-    version or fails `check`.  The first line that `entry` cannot read
-    (it raises KeyError, TypeError or ValueError) starts a torn or foreign
-    tail, which is dropped from the file with a warning.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    try:
-        header = json.loads(lines[0] if lines else "")
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict):
-        _refuse(f"{kind} header is not a JSON object")
-    if header.get("engine_version") != __version__:
-        _refuse(f"{kind} written by a different engine version")
-    if check:
-        check(header)
-    entries = []
-    for i, line in enumerate(lines[1:], start=1):
-        try:
-            entries.append(entry(json.loads(line)))
-        except (KeyError, TypeError, ValueError):
-            print(f"warning: dropping corrupt {kind} tail at line {i + 1}",
-                  file=sys.stderr)
-            _atomic_write(path, "\n".join(lines[:i]) + "\n")
-            break
-    return entries
 
 
 def _carries(value, fields: dict) -> bool:
@@ -295,23 +267,28 @@ def _carries(value, fields: dict) -> bool:
 
 def _load_checkpoint(path: str, command: str, parameters: dict,
                      budget_degree: int, points: list, verdict: str) -> list[dict]:
-    """The records of a checkpoint of this grid.  The i-th record must carry
-    the coordinates of the i-th point and a boolean `verdict` field, and
-    there are no more records than points; the first that does not starts
-    the dropped tail."""
-    unanswered = iter(points)
+    """The records of a checkpoint of this grid: a JSON header line, then one
+    record per line.
 
-    def record(value):
-        point = next(unanswered, None)
-        if (point is None or not _carries(value, point)
-                or type(value.get(verdict)) is not bool):
-            raise ValueError("not a record of this grid")
-        return value
-
-    def check(header):
-        found = header.get("fingerprint")
-        if found == _fingerprint(command, parameters, budget_degree):
-            return
+    Refuses a header that is not a JSON object or that another engine
+    version, command or degree budget wrote.  The i-th record must carry the
+    coordinates of the i-th point and a boolean `verdict` field, and there
+    are no more records than points; the first line that does not (a torn
+    write, or a record of another grid) starts a tail that is dropped from
+    the file with a warning.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict):
+        _refuse("checkpoint header is not a JSON object")
+    if header.get("engine_version") != __version__:
+        _refuse("checkpoint written by a different engine version")
+    found = header.get("fingerprint")
+    if found != _fingerprint(command, parameters, budget_degree):
         if "budget_degree" not in header:
             _refuse("checkpoint predates degree-budget fingerprints; delete it")
         written = header["budget_degree"]
@@ -319,14 +296,32 @@ def _load_checkpoint(path: str, command: str, parameters: dict,
             _refuse(f"checkpoint written under degree budget {written}, "
                     f"not {budget_degree}")
         _refuse("checkpoint belongs to a different command")
-    return _read_log(path, "checkpoint", record, check)
+    records = []
+    for i, (line, point) in enumerate(zip(lines[1:], points + [None]), start=1):
+        try:
+            value = json.loads(line)
+        except ValueError:
+            value = None
+        if (point is None or not _carries(value, point)
+                or type(value.get(verdict)) is not bool):
+            print(f"warning: dropping corrupt checkpoint tail at line {i + 1}",
+                  file=sys.stderr)
+            _atomic_write(path, "\n".join(lines[:i]) + "\n")
+            break
+        records.append(value)
+    return records
 
 
 def _atomic_write(path: str, content: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)  # a failed write leaves no temporary file behind
+        raise
 
 
 def _run_grid(args, command: str, parameters: dict, points: list, worker,
@@ -434,90 +429,16 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
-def _bound_fields(info) -> dict | None:
-    return None if info is None else {"p": info.p, "bound": info.bound, "s": info.s}
-
-
 def _cmd_fab(args) -> int:
     params = {"a": args.a, "b": args.b, "n_cap": args.n_cap}
-    cache = _load_fab_cache(args.cache) if args.cache else {}
-    record = cache.get(_record_dumps(params))
-    if record is not None and not _fab_hit_holds(record, args.a, args.b, args.n_cap):
-        print(f"warning: cache entry for fab {args.a} {args.b} fails its "
-              "re-check; recomputing", file=sys.stderr)
-        record = None
-    if record is None:
-        result = divisibility.f_ab(args.a, args.b, n_cap=args.n_cap)
-        record = {"a": args.a, "b": args.b, "verdict": result.verdict,
-                  "n": result.n, "n_max": result.n_max,
-                  "bound": _bound_fields(result.bound)}
-        if args.cache:
-            with open(args.cache, "a", encoding="utf-8") as fh:
-                fh.write(_record_dumps({"key": params, "record": record}) + "\n")
-    _emit(args, "fab", params, [record], {"verdict": record["verdict"]})
-    return EXIT_OK if record["verdict"] in ("found", "proven_zero") else EXIT_INCONCLUSIVE
-
-
-def _fab_hit_holds(record: dict, a: int, b: int, n_cap: int | None) -> bool:
-    """Could f_ab(a, b, n_cap) have written this cached record?
-
-    The bound is recomputed, as an uncached run computes it; a scan is
-    inconclusive only when its cap undercuts the bound; a found n must
-    lie in the scanned range and fail divisibility, which one
-    divides_binomial call decides.  That no smaller n fails is trusted.
-    """
-    info = divisibility.fab_bound(a, b)
-    verdict = record["verdict"]
-    expected = {"a": a, "b": b, "verdict": verdict, "n": None, "n_max": None,
-                "bound": _bound_fields(info)}
-    if info is None:
-        if verdict != "proven_zero":
-            return False
-    else:
-        cap = min(info.bound, divisibility.FAB_SCAN_CAP_DEFAULT
-                  if n_cap is None else n_cap)
-        if verdict == "inconclusive":
-            if cap == info.bound:
-                return False
-            expected["n_max"] = cap
-        elif verdict == "found":
-            n = expected["n"] = record["n"]
-            if (type(n) is not int or not 1 <= n <= cap
-                    or core.divides_binomial((a + b) * n, a * n, b * n + 1)[0]):
-                return False
-        else:
-            return False
-    return _record_dumps(record) == _record_dumps(expected)
-
-
-# The fields of the record _cmd_fab writes.
-_FAB_FIELDS = {"a", "b", "verdict", "n", "n_max", "bound"}
-
-
-def _fab_entry(entry: dict) -> tuple[str, dict]:
-    key, record = entry["key"], entry["record"]
-    if not (isinstance(key, dict) and isinstance(record, dict)
-            and record.keys() == _FAB_FIELDS
-            and _carries(record, {"a": key.get("a"), "b": key.get("b")})):
-        raise ValueError("not a fab cache entry")
-    return _record_dumps(key), record
-
-
-def _load_fab_cache(path: str) -> dict[str, dict]:
-    """The entries of an append-only fab cache, keyed on all of (a, b, n_cap).
-
-    Each line after the versioned header is {"key": params, "record": record},
-    so an entry answers only the exact parameters it was computed for.  A
-    tail line that is not such an entry (a torn write, a result stored
-    without its n_cap, or a record that is not the fab record of its key)
-    is dropped.  A missing or empty file starts an empty cache.
-    """
-    if os.path.exists(path) and os.path.getsize(path):
-        return dict(_read_log(path, "cache", _fab_entry))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_record_dumps({"engine_version": __version__,
-                                "kind": "fab-cache"}) + "\n")
-    return {}
+    result = divisibility.f_ab(args.a, args.b, n_cap=args.n_cap)
+    info = result.bound
+    record = {"a": args.a, "b": args.b, "verdict": result.verdict,
+              "n": result.n, "n_max": result.n_max,
+              "bound": None if info is None else {
+                  "p": info.p, "bound": info.bound, "s": info.s}}
+    _emit(args, "fab", params, [record], {"verdict": result.verdict})
+    return EXIT_OK if result.verdict in ("found", "proven_zero") else EXIT_INCONCLUSIVE
 
 
 def _cmd_primes(args) -> int:
@@ -567,8 +488,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_grid(parser: argparse.ArgumentParser) -> None:
     """Options of the subcommands that run grids."""
     _add_common(parser)
-    parser.add_argument("--par", type=int, default=1,
-                        help="worker pool width (default 1)")
+    parser.add_argument("--par", type=_int_at_least(1), default=1,
+                        help="worker pool width (default 1; at most the CPU "
+                             "count and the points left)")
     parser.add_argument("--checkpoint",
                         help="append-only checkpoint log; resumable")
 
@@ -576,7 +498,8 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than `low`.  Grid bounds
     start at 1, so no claim is reported as holding over an empty grid;
-    --p and --p-cap start at 2, the least prime; budgets start at 0."""
+    --p and --p-cap start at 2, the least prime; --par starts at 1, one
+    worker; budgets start at 0."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -601,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--n-cap", type=_int_at_least(0), default=None)
-    p.add_argument("--cache", help="append-only result cache file")
     _add_common(p)
     p.set_defaults(func=_cmd_fab)
 
@@ -691,6 +613,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IOERR
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARTIAL

@@ -42,155 +42,16 @@ class TestFab:
         assert code == 2
         assert parse_jsonl(out)[0]["verdict"] == "inconclusive"
 
-    def test_cache_roundtrip(self, tmp_path, capsys):
-        cache = str(tmp_path / "fab.cache")
-        code, out1, _ = run_cli(["fab", "2", "3", "--cache", cache], capsys)
-        assert code == 0
-        code, out2, _ = run_cli(["fab", "2", "3", "--cache", cache], capsys)
-        assert code == 0
-        assert parse_jsonl(out1)[0] == parse_jsonl(out2)[0]
-        lines = (tmp_path / "fab.cache").read_text().splitlines()
-        assert json.loads(lines[0])["kind"] == "fab-cache"
-        assert len(lines) == 2  # header + one result, no duplicate append
-
-    def test_cache_corrupt_tail_dropped(self, tmp_path, capsys):
+    def test_cache_option_refused(self, tmp_path, capsys):
+        # fab keeps no result cache: every answer is computed and checked.
         cache = tmp_path / "fab.cache"
-        run_cli(["fab", "2", "3", "--cache", str(cache)], capsys)
-        with open(cache, "a") as fh:
-            fh.write('{"a": 9, "b":')  # torn write
-        code, out, err = run_cli(["fab", "2", "3", "--cache", str(cache)], capsys)
-        assert code == 0
-        assert "corrupt" in err
-        lines = cache.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            json.loads(line)
-
-    def test_cache_capped_entry_does_not_answer_uncapped(self, tmp_path, capsys):
-        cache = str(tmp_path / "fab.cache")
-        code, out, _ = run_cli(
-            ["fab", "7", "36", "--n-cap", "10", "--cache", cache], capsys)
-        assert code == 2
-        assert parse_jsonl(out)[0]["verdict"] == "inconclusive"
-        code, out, _ = run_cli(["fab", "7", "36", "--cache", cache], capsys)
-        assert code == 0
-        assert parse_jsonl(out)[0]["n"] == 279
-
-    def test_cache_uncapped_entry_does_not_answer_capped(self, tmp_path, capsys):
-        cache = str(tmp_path / "fab.cache")
-        code, _, _ = run_cli(["fab", "7", "36", "--cache", cache], capsys)
-        assert code == 0
-        _, uncached, _ = run_cli(["fab", "7", "36", "--n-cap", "10"], capsys)
-        code, out, _ = run_cli(
-            ["fab", "7", "36", "--n-cap", "10", "--cache", cache], capsys)
-        assert code == 2
-        assert out == uncached
-
-    def test_cache_entry_without_key_dropped(self, tmp_path, capsys):
-        # A result line that does not record the n_cap it answers.
-        cache = tmp_path / "fab.cache"
-        cache.write_text(
-            json.dumps({"engine_version": cli.__version__, "kind": "fab-cache"})
-            + '\n{"a":7,"b":36,"bound":{"bound":2736,"p":7,"s":6},"n":null,'
-            '"n_max":10,"verdict":"inconclusive"}\n')
-        code, out, err = run_cli(["fab", "7", "36", "--cache", str(cache)], capsys)
-        assert code == 0
-        assert parse_jsonl(out)[0]["n"] == 279
-        assert "corrupt" in err
-
-    def test_cache_empty_file_starts_fresh(self, tmp_path, capsys):
-        cache = tmp_path / "fab.cache"
-        cache.write_text("")
-        _, uncached, _ = run_cli(["fab", "2", "3"], capsys)
-        code, out, _ = run_cli(["fab", "2", "3", "--cache", str(cache)], capsys)
-        assert code == 0
-        assert out == uncached
-        lines = cache.read_text().splitlines()
-        assert json.loads(lines[0])["kind"] == "fab-cache"
-        assert len(lines) == 2
-
-    @staticmethod
-    def _cache_with(tmp_path, key, record):
-        cache = tmp_path / "fab.cache"
-        cache.write_text(
-            json.dumps({"engine_version": cli.__version__, "kind": "fab-cache"})
-            + "\n" + json.dumps({"key": key, "record": record}) + "\n")
-        return cache
-
-    @pytest.mark.parametrize("record", [
-        5,  # parses, but is no record
-        {"verdict": "found"},  # an object without the fab record's fields
-    ])
-    def test_cache_foreign_record_dropped(self, record, tmp_path, capsys):
-        cache = self._cache_with(tmp_path, {"a": 7, "b": 36, "n_cap": None}, record)
-        _, uncached, _ = run_cli(["fab", "7", "36"], capsys)
-        code, out, err = run_cli(["fab", "7", "36", "--cache", str(cache)], capsys)
-        assert code == 0
-        assert "warning: dropping corrupt cache tail at line 2" in err
-        assert out == uncached
-
-    BOUND_7_36 = {"p": 7, "bound": 2736, "s": 6}
-
-    @pytest.mark.parametrize("argv, record", [
-        # A found n that does not fail (the true answer is 279).
-        (["7", "36"], {"a": 7, "b": 36, "verdict": "found", "n": 1,
-                       "n_max": None, "bound": None}),
-        (["7", "36"], {"a": 7, "b": 36, "verdict": "found", "n": 1,
-                       "n_max": None, "bound": BOUND_7_36}),
-        # The right n under a forged bound, or past the scan cap.
-        (["7", "36"], {"a": 7, "b": 36, "verdict": "found", "n": 279,
-                       "n_max": None, "bound": {"p": 7, "bound": 300, "s": 6}}),
-        (["7", "36", "--n-cap", "100"], {"a": 7, "b": 36, "verdict": "found",
-                                         "n": 279, "n_max": None,
-                                         "bound": BOUND_7_36}),
-        # A proven zero where an order bound exists, and the reverse.
-        (["7", "36"], {"a": 7, "b": 36, "verdict": "proven_zero", "n": None,
-                       "n_max": None, "bound": BOUND_7_36}),
-        (["2", "4"], {"a": 2, "b": 4, "verdict": "found", "n": 1,
-                      "n_max": None, "bound": None}),
-        # An inconclusive scan that stopped short of its cap.
-        (["7", "36"], {"a": 7, "b": 36, "verdict": "inconclusive", "n": None,
-                       "n_max": 5, "bound": BOUND_7_36}),
-        # An inconclusive scan up to the bound, which always holds a failing n.
-        (["7", "36"], {"a": 7, "b": 36, "verdict": "inconclusive", "n": None,
-                       "n_max": 2736, "bound": BOUND_7_36}),
-        # A found n stored as true, which equals 1 but is not an integer.
-        (["2", "3"], {"a": 2, "b": 3, "verdict": "found", "n": True,
-                      "n_max": None, "bound": {"p": 2, "bound": 3, "s": 4}}),
-    ], ids=["found-1-no-bound", "found-1", "found-bound-forged",
-            "found-past-cap", "proven-zero-with-bound", "found-without-bound",
-            "inconclusive-short", "inconclusive-at-bound", "found-true"])
-    def test_cache_forged_entry_recomputed(self, argv, record, tmp_path, capsys):
-        n_cap = int(argv[3]) if len(argv) > 2 else None
-        key = {"a": int(argv[0]), "b": int(argv[1]), "n_cap": n_cap}
-        cache = self._cache_with(tmp_path, key, record)
-        code_uncached, uncached, _ = run_cli(["fab"] + argv, capsys)
-        code, out, err = run_cli(["fab"] + argv + ["--cache", str(cache)], capsys)
-        assert (code, out) == (code_uncached, uncached)
-        assert "fails its re-check; recomputing" in err
-        # The recomputed record is appended and answers the next run.
-        assert len(cache.read_text().splitlines()) == 3
-        code, out, err = run_cli(["fab"] + argv + ["--cache", str(cache)], capsys)
-        assert (code, out) == (code_uncached, uncached)
-        assert "re-check" not in err
-
-    @pytest.mark.parametrize("argv", [
-        ["7", "36"], ["1", "1"], ["7", "36", "--n-cap", "5"],
-        ["7", "36", "--n-cap", "0"], ["2", "3"]])
-    def test_cache_honest_entry_passes_recheck(self, argv, tmp_path, capsys):
-        cache = str(tmp_path / "fab.cache")
-        first = run_cli(["fab"] + argv + ["--cache", cache], capsys)
-        code, out, err = run_cli(["fab"] + argv + ["--cache", cache], capsys)
-        assert (code, out) == first[:2]
-        assert "re-check" not in err
-        assert len(open(cache).read().splitlines()) == 2
-
-    def test_cache_version_mismatch(self, tmp_path, capsys):
-        cache = tmp_path / "fab.cache"
-        cache.write_text('{"engine_version": "0.0.0", "kind": "fab-cache"}\n')
         with pytest.raises(SystemExit) as exc:
             run_cli(["fab", "2", "3", "--cache", str(cache)], capsys)
         assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: unrecognized arguments: --cache" in err
+        assert not cache.exists()
 
 
 class TestVerify:
@@ -402,6 +263,8 @@ class TestCheckpoint:
         code, out, err = run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)
         assert code == 0
         assert "corrupt" in err
+        # The torn line is cut from the file, which every point already answers.
+        assert ckpt.read_text() == good
 
     SMALL = ["verify", "thm0", "--a-max", "1", "--b-max", "1", "--n-max", "3"]
 
@@ -747,6 +610,8 @@ BELOW_LEAST = [
     (["conj", "oddp", "--p", "0", "--a-max", "2", "--b-max", "1",
       "--n-max", "2"], "--p: must be an integer >= 2"),
     (["conj", "oddp", "--p", "1"], "--p: must be an integer >= 2"),
+    (["verify", "thm3", "--n-max", "2", "--par", "0"],
+     "--par: must be an integer >= 1"),
     (["--budget-prime", "-1", "fab", "7", "36"],
      "--budget-prime: must be an integer >= 0"),
     (["--budget-degree", "-7", "verify", "andrews", "--a-max", "1",
@@ -797,19 +662,39 @@ class TestUsageErrors:
         assert exc.value.code == 64
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["fab", "2", "3", "--cache"],
-        ["verify", "thm3", "--n-max", "2", "--checkpoint"],
-    ])
-    def test_non_object_header_refused(self, argv, tmp_path, capsys):
+    def test_non_object_header_refused(self, tmp_path, capsys):
         state = tmp_path / "state"
         state.write_text("[1]\n")
         with pytest.raises(SystemExit) as exc:
-            run_cli(argv + [str(state)], capsys)
+            run_cli(["verify", "thm3", "--n-max", "2", "--checkpoint", str(state)],
+                    capsys)
         assert exc.value.code == 64
         _, err = capsys.readouterr()
-        assert "error:" in err and "header is not a JSON object" in err
+        assert "error: checkpoint header is not a JSON object" in err
         assert state.read_text() == "[1]\n"
+
+
+class TestIOErrors:
+    @pytest.mark.parametrize("option", ["--output", "--checkpoint"])
+    def test_unwritable_file_exit_74(self, option, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(["verify", "thm3", "--n-max", "1",
+                                  option, str(missing / "x")], capsys)
+        assert code == cli.EXIT_IOERR == 74
+        assert out == ""
+        assert "error: [Errno 2] No such file or directory" in err
+        assert "Traceback" not in err
+        assert not missing.exists() and list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
+        # The report is written beside its target, which is a directory.
+        target = tmp_path / "report"
+        target.mkdir()
+        code, out, err = run_cli(
+            ["verify", "thm3", "--n-max", "1", "--output", str(target)], capsys)
+        assert code == 74
+        assert "error: [Errno 21] Is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
 class TestRepeatedCalls:
@@ -848,6 +733,45 @@ class TestParallel:
         code, par, _ = run_cli(args + ["--par", "2"], capsys)
         assert code == 0
         assert par == serial
+
+    # (points, --par, CPU count) -> the pool width, where one is started.
+    @pytest.mark.parametrize("n_max, par, cpus, width", [
+        (2, 5000, 64, 2),  # no wider than the points
+        (40, 5000, 4, 4),  # nor than the CPUs
+        (40, 3, 64, 3),  # nor than asked for
+        (2, 5000, None, None),  # an unknown CPU count runs serially
+        (1, 5000, 64, None),  # and so does a single point
+        (40, 5000, 1, None),  # or a single CPU
+    ])
+    def test_pool_width_capped(self, n_max, par, cpus, width, capsys,
+                               monkeypatch):
+        # A stand-in pool records its width and runs the points in this
+        # process, so no width here starts a worker.
+        import concurrent.futures
+
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, points, chunksize):
+                return map(fn, points)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = ["verify", "thm3", "--n-max", str(n_max)]
+        _, serial, _ = run_cli(args, capsys)
+        code, out, _ = run_cli(args + ["--par", str(par)], capsys)
+        assert (code, out) == (0, serial)
+        assert widths == ([] if width is None else [width])
 
 
 def test_environment_table_matches_source():
@@ -899,7 +823,7 @@ class TestColdImports:
     def test_serial_run_loads_no_pool_hashing_or_rationals(self):
         baseline = self._baseline()
         result = json.loads(self._fresh(f"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from divcert import cli
 
 def run(argv):
@@ -911,6 +835,7 @@ def run(argv):
 argv = ["verify", "thm3", "--n-max", "2"]
 serial = run(argv)
 loaded = {_LOADED}
+os.cpu_count = lambda: 2  # the pool is no wider than the CPUs; load it anyway
 par = run(argv + ["--par", "2"])
 print(json.dumps({{"loaded": loaded, "serial": serial, "par": par,
                   "pool": "concurrent.futures" in sys.modules}}))

@@ -1,8 +1,9 @@
 """The reference implementations live in tests/oracles.py, not in the engine:
 no engine module still carries one of them, nor a second route to a
 quantity it computes once, nor a second way to set one of its limits, nor
-a public name that nothing in the engine uses.  The oracles in turn do not
-expand through the engine's kernels."""
+a public name that nothing in the engine uses; nor does cli.py define at
+module level a name it never reads.  The oracles in turn do not expand
+through the engine's kernels."""
 
 import ast
 import collections
@@ -91,6 +92,29 @@ def test_every_public_engine_name_is_used():
               for qualname, node in _public_definitions(tree)
               if total[node.name] == _references(node)[node.name]}
     assert unused == UNUSED_KEPT
+
+
+def _module_definitions(tree):
+    """(name, node) of each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def test_every_cli_definition_is_read():
+    # No engine module imports the CLI, so a name it defines and never
+    # reads serves no one.  An assigned name counts once in its own node.
+    tree = ast.parse((ENGINE / "cli.py").read_text())
+    total = _references(tree)
+    definitions = list(_module_definitions(tree))
+    assert len(definitions) > 40
+    assert [name for name, node in definitions
+            if total[name] == _references(node)[name]] == []
 
 
 # The engine's expansion passes; an oracle that ran through them would
