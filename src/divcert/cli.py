@@ -16,6 +16,7 @@ pipe).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -306,22 +307,37 @@ def _load_checkpoint(path: str, command: str, parameters: dict,
                 or type(value.get(verdict)) is not bool):
             print(f"warning: dropping corrupt checkpoint tail at line {i + 1}",
                   file=sys.stderr)
-            _atomic_write(path, "\n".join(lines[:i]) + "\n")
+            _atomic_write(open(path + ".tmp", "w", encoding="utf-8"), path,
+                          "\n".join(lines[:i]) + "\n")
             break
         records.append(value)
     return records
 
 
-def _atomic_write(path: str, content: str) -> None:
-    tmp = path + ".tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+def _atomic_write(fh, path: str, content: str) -> None:
+    """Write content to fh, the open temporary file beside path, and move
+    it over path."""
     try:
         with fh:
             fh.write(content)
-        os.replace(tmp, path)
+        os.replace(fh.name, path)
     except OSError:
-        os.remove(tmp)  # a failed write leaves no temporary file behind
+        os.remove(fh.name)  # a failed write leaves no temporary file behind
         raise
+
+
+def _open_report(path: str):
+    """The temporary file that the report to path is written to.
+
+    main opens it before any point runs, so a report that cannot be
+    written fails first, and the error names path as given.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        return open(path + ".tmp", "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _run_grid(args, command: str, parameters: dict, points: list, worker,
@@ -402,7 +418,7 @@ def _emit(args, command: str, parameters: dict, records: list[dict],
     lines = lines + [_record_dumps(summary)]
     output = args.output
     if output:
-        _atomic_write(output, "\n".join(lines) + "\n")
+        _atomic_write(args.report, output, "\n".join(lines) + "\n")
         print(f"wrote {len(lines)} records to {output}", file=sys.stderr)
     elif args.table:
         _print_table(records, summary)
@@ -600,12 +616,15 @@ def main(argv=None) -> int:
     start = time.monotonic()
     # The budgets hold for this call only.
     saved = core.prime_budget, qpoly.degree_budget
+    report = None
     try:
         _set_budgets(
             _budget(args.budget_prime, "DIVCERT_BUDGET_PRIME",
                     core.SIEVE_BUDGET_DEFAULT),
             _budget(args.budget_degree, "DIVCERT_BUDGET_DEGREE",
                     qpoly.DEGREE_BUDGET_DEFAULT))
+        if args.output:
+            report = args.report = _open_report(args.output)
         code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -621,6 +640,10 @@ def main(argv=None) -> int:
         code = EXIT_PARTIAL
     finally:
         _set_budgets(*saved)
+        # _emit closes the report it writes; one still open was not reached.
+        if report is not None and not report.closed:
+            report.close()
+            os.remove(report.name)
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

@@ -41,7 +41,8 @@ from .errors import BudgetExceededError
 # deterministic and fast, and nothing in the engine needs larger moduli.
 FACTOR_CEILING = 10**8
 
-# Sieve memory budget (one byte per candidate).
+# Sieve budget: the largest integer a sieve covers.  The sieve takes
+# (limit + 1) // 2 bytes, one per odd number up to its limit.
 SIEVE_BUDGET_DEFAULT = 10**8
 
 # The sieve budget in force: no sieve runs past it.
@@ -76,18 +77,26 @@ _MR_TIERS = (
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending, by Eratosthenes sieve."""
+    """All primes <= limit, ascending, by Eratosthenes sieve.
+
+    The sieve holds the odd numbers only: byte i stands for 2i + 1, so it
+    takes (limit + 1) // 2 bytes, and 2 is prepended.  An odd p steps by 2p
+    through the odd numbers, which is p through the indices, starting at
+    p*p, whose index is p*p // 2.
+    """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > prime_budget:
         raise BudgetExceededError(f"sieve limit {limit} exceeds budget")
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
-    return list(itertools.compress(range(limit + 1), sieve))
+    half = (limit + 1) // 2
+    sieve = bytearray(b"\x01") * half
+    sieve[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):  # 2i + 1 <= isqrt(limit)
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = b"\x00" * ((half - 1 - start) // p + 1)
+    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
 
 
 def is_prime(n: int) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from divcert import cli, core, qpoly
+from divcert import cli, core, divisibility, qpoly
 
 
 def run_cli(argv, capsys):
@@ -674,6 +674,20 @@ class TestUsageErrors:
         assert state.read_text() == "[1]\n"
 
 
+# One run per exit code, each with --output appended; the 64 with a
+# checkpoint is refused on the file `header`, which holds no JSON object.
+EVERY_EXIT = [
+    (0, ["verify", "thm3", "--n-max", "1"]),
+    (2, ["fab", "7", "36", "--n-cap", "5"]),
+    (3, ["--budget-degree", "10", "verify", "thm_kn", "--n-max", "4"]),
+    (3, ["--budget-prime", "10", "primes", "--lo", "10", "--hi", "100"]),
+    (64, ["fab", "0", "1"]),
+    (64, ["verify", "thm3", "--n-max", "2", "--checkpoint", "header"]),
+    (70, ["verify", "thm0", "--a-max", "1", "--b-max", "1", "--n-max", "2"]),
+    (74, ["verify", "thm3", "--n-max", "1", "--checkpoint", "missing/x"]),
+]
+
+
 class TestIOErrors:
     @pytest.mark.parametrize("option", ["--output", "--checkpoint"])
     def test_unwritable_file_exit_74(self, option, tmp_path, capsys):
@@ -687,7 +701,7 @@ class TestIOErrors:
         assert not missing.exists() and list(tmp_path.iterdir()) == []
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
-        # The report is written beside its target, which is a directory.
+        # The target is a directory: refused before its temporary file opens.
         target = tmp_path / "report"
         target.mkdir()
         code, out, err = run_cli(
@@ -695,6 +709,36 @@ class TestIOErrors:
         assert code == 74
         assert "error: [Errno 21] Is a directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_unwritable_output_refused_before_the_grid(self, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(divisibility, "negative_valuation_witness",
+                            lambda *a, **k: calls.append(a))
+        output = str(tmp_path / "missing" / "x.jsonl")
+        code, out, err = run_cli(["conj", "conj2witness", "--a-max", "6",
+                                  "--b-max", "6", "--output", output], capsys)
+        assert code == 74 and out == "" and calls == []
+        # The message names the path as given, not its temporary file.
+        assert f"error: [Errno 2] No such file or directory: '{output}'\n" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("code, argv", EVERY_EXIT,
+                             ids=[f"{c} {' '.join(a)}" for c, a in EVERY_EXIT])
+    def test_no_temporary_file_after_any_exit(self, code, argv, tmp_path,
+                                              capsys, monkeypatch):
+        # The report's temporary file is open from before the first point.
+        monkeypatch.chdir(tmp_path)
+        Path("header").write_text("[1]\n")
+        if code == 70:
+            monkeypatch.setattr(core, "_carry_count", lambda a, b, p: -1)
+        try:
+            got = cli.main(argv + ["--output", "report"])
+        except SystemExit as exc:
+            got = exc.code
+        capsys.readouterr()
+        assert got == code
+        assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
 class TestRepeatedCalls:

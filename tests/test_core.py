@@ -109,9 +109,12 @@ class TestPrimes:
 
     def test_matches_trial_division(self):
         # Every limit to 2,000; each side of every prime square to 316**2,
-        # where the last prime that crosses anything out changes; and 10**5.
-        oracle = oracles.trial_division_primes(10**5)
-        limits = [*range(2, 2001), 10**5]
+        # where the last prime that crosses anything out changes; 10**5; and
+        # past the sweep, the last index of the odd-only sieve at an odd
+        # prime (100,003), an odd composite (100,001 = 11 * 9,091) and an
+        # even limit (100,002).
+        oracle = oracles.trial_division_primes(100_003)
+        limits = [*range(2, 2001), 10**5, 100_001, 100_002, 100_003]
         for p in oracle[:bisect.bisect_right(oracle, 316)]:
             limits += [p * p - 1, p * p, p * p + 1]
         for limit in limits:
