@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import core
@@ -188,6 +189,15 @@ class Conj2Witness(NamedTuple("Conj2Witness", [
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+def _primes_2_mod_3(limit: int) -> Iterator[int]:
+    """The primes p == 2 (mod 3) up to limit, ascending, read lazily.
+
+    The sieve runs in full when this is called, so a limit below 2 or past
+    core.prime_budget is refused before the caller reads a prime.
+    """
+    return (p for p in core.primes_up_to(limit) if p % 3 == 2)
+
+
 # Inner search knobs for negative_valuation_witness: cofactors m tried for
 # each prime power p^e, and the ceiling on p^e itself.
 _CONJ2_COFACTORS = (1, 2, 4)
@@ -203,17 +213,22 @@ def negative_valuation_witness(
     n runs over (m * p^e + 1)/3 for small cofactors m coprime to p; e = 1
     (so 3n-1 = p itself when m = 1) is exhausted over all primes before
     higher powers are tried, so the smallest single-prime witness is found
-    first whenever one exists.  Higher powers are essential: for
-    (a, b) == (2, 2) mod 3 a base-p carry always occurs at the lowest
-    digit, so v_p is at least 1 and only moduli divisible by p^2 can fail.
+    first whenever one exists.  The e = 1 pass reads the primes as it goes,
+    so a pair with a small witness stops after a few of them.
+
+    Higher powers matter when every e = 1 candidate carries, as for (2, 2):
+    for odd p, 2n == 2(p+1)/3 > p/2 (mod p), and binom(4, 2) is even.
+    (a, b) mod 3 does not decide which pairs these are: 12 of the 13 in
+    [1, 30]^2 are == (2, 1) or (1, 2) (mod 3), such as (2, 7) (2^3 || 3n-1)
+    and (14, 19) (2^5), while (2, 5) == (2, 2) has the witness p = 2, n = 1.
     Exhaustion raises rather than returning a verdict.
     """
     if a < 1 or b < 1:
         raise ValueError("require a, b >= 1")
-    primes = [p for p in core.primes_up_to(p_cap) if p % 3 == 2]
+    primes = _primes_2_mod_3(p_cap)
     power_cap = _CONJ2_POWER_CAP
     e = 1
-    while primes:
+    while True:
         alive = []
         for p in primes:
             q = p ** e
@@ -229,10 +244,11 @@ def negative_valuation_witness(
                 val = cert.valuation - e
                 if val < 0:
                     return Conj2Witness(a, b, p, n, e, val)
+        if not alive:
+            raise SearchExhaustedError(
+                f"no witness for (a, b) = ({a}, {b}) with primes up to {p_cap}")
         primes = alive
         e += 1
-    raise SearchExhaustedError(
-        f"no witness for (a, b) = ({a}, {b}) with primes up to {p_cap}")
 
 
 class PrimeWindowReport(NamedTuple):
@@ -251,7 +267,7 @@ def prime_window_verify(x_lo: int, x_hi: int) -> PrimeWindowReport:
     if not 2 <= x_lo <= x_hi:
         raise ValueError("require 2 <= x_lo <= x_hi")
     limit = (20 * x_hi) // 19 + 2
-    candidates = [p for p in core.primes_up_to(limit) if p % 3 == 2]
+    candidates = list(_primes_2_mod_3(limit))
     entries = []
     failures = []
     for x in range(x_lo, x_hi + 1):
@@ -282,7 +298,7 @@ def chebyshev_theta_3_2(x: int) -> ThetaValue:
     """
     if x < 2:
         raise ValueError("require x >= 2")
-    logs = [math.log(p) for p in core.primes_up_to(x) if p % 3 == 2]
+    logs = [math.log(p) for p in _primes_2_mod_3(x)]
     value = math.fsum(logs)
     error = len(logs) * 2.0**-52 * max(value, 1.0)
     if x >= 3761 and not (value - error > 0.49 * x and value + error < 0.51 * x):

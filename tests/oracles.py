@@ -342,6 +342,41 @@ def base_p_digits(n: int, p: int) -> list[int]:
     return digits
 
 
+def carries(x: int, y: int, p: int) -> int:
+    """Carries when x + y is added in base p; by Kummer's theorem this is
+    the exponent of p in binom(x + y, x)."""
+    count = carry = 0
+    while x or y or carry:
+        x, dx = divmod(x, p)
+        y, dy = divmod(y, p)
+        carry = int(dx + dy + carry >= p)
+        count += carry
+    return count
+
+
+def witness_reference(a: int, b: int, p_cap: int) -> tuple[int, int, int, int]:
+    """(p, n, e, valuation) of the first 3n-1 witness for (a, b), eagerly.
+
+    The order is the one the engine documents: e = 1, 2, ... outermost,
+    then the primes p == 2 (mod 3) up to p_cap ascending with p^e <= 10**7,
+    then n = (m p^e + 1)/3 for the cofactors m = 1, 2, 4 coprime to p with
+    m p^e == 2 (mod 3).  The witness is the first n where p carries fewer
+    than e times in an + bn.
+    """
+    primes = [p for p in trial_division_primes(p_cap) if p % 3 == 2]
+    for e in itertools.count(1):
+        primes = [p for p in primes if p ** e <= 10**7]
+        if not primes:
+            raise ValueError(f"no witness for ({a}, {b}) up to {p_cap}")
+        for p in primes:
+            for m in (1, 2, 4):
+                if m % p and m * p ** e % 3 == 2:
+                    n = (m * p ** e + 1) // 3
+                    valuation = carries(a * n, b * n, p) - e
+                    if valuation < 0:
+                        return p, n, e, valuation
+
+
 def lucas_binom_mod_p(m: int, k: int, p: int) -> int:
     """binom(m, k) mod p via the digitwise Lucas product."""
     if not core.is_prime(p):

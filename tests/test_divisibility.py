@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from divcert import core, divisibility
-from divcert.errors import SearchExhaustedError
+from divcert.errors import BudgetExceededError, SearchExhaustedError
 
 
 class TestFabBound:
@@ -176,6 +176,56 @@ class TestConj2Witness:
         w = divisibility.negative_valuation_witness(2, 2, p_cap=10**3)
         assert (w.p, w.n, w.e) == (5, 17, 2)
         assert calls == []
+
+    def test_matches_reference_search(self):
+        # The first witness in the documented order, not just a valid one.
+        for a in range(1, 31):
+            for b in range(1, 31):
+                w = divisibility.negative_valuation_witness(a, b, p_cap=10**3)
+                assert (w.p, w.n, w.e, w.valuation) == \
+                    oracles.witness_reference(a, b, 10**3), (a, b)
+
+    def test_pairs_needing_higher_powers(self):
+        # The same 13 pairs at p_cap = 10**5: every other pair's witness
+        # has p <= 53.  Only (2, 2) is == (2, 2) (mod 3).
+        hard = {(a, b) for a in range(1, 31) for b in range(1, 31)
+                if divisibility.negative_valuation_witness(a, b, p_cap=10**3).e >= 2}
+        assert hard == {(2, 2), (2, 7), (2, 19), (7, 2), (8, 10), (10, 8),
+                        (11, 22), (14, 19), (14, 22), (19, 2), (19, 14),
+                        (22, 11), (22, 14)}
+
+    def test_reads_primes_as_it_goes(self, monkeypatch):
+        read = []
+        real = core.primes_up_to
+
+        def recording(limit):
+            for p in real(limit):
+                read.append(p)
+                yield p
+
+        monkeypatch.setattr(core, "primes_up_to", recording)
+        w = divisibility.negative_valuation_witness(1, 1)
+        assert (w.p, w.e) == (5, 1)
+        assert read == [2, 3, 5]
+
+    def test_refusals_come_before_any_valuation(self, monkeypatch):
+        calls = []
+        real = core._valuation
+
+        def counting(m, k, p):
+            calls.append(p)
+            return real(m, k, p)
+
+        monkeypatch.setattr(core, "_valuation", counting)
+        with pytest.raises(ValueError):
+            divisibility.negative_valuation_witness(1, 1, p_cap=1)
+        monkeypatch.setattr(core, "prime_budget", 10**3 - 1)
+        with pytest.raises(BudgetExceededError):
+            divisibility.negative_valuation_witness(1, 1, p_cap=10**3)
+        assert calls == []
+        # The sieve runs when the prime stream is made, not when it is read.
+        with pytest.raises(BudgetExceededError):
+            divisibility._primes_2_mod_3(10**3)
 
 
 class TestPrimeWindow:
