@@ -42,12 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Encoding is stateless per call, so one encoder serves every record.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder that json.dumps(record, sort_keys=True, separators=(",", ":"))
+# builds for every call, built once: ASCII output, NaN allowed, and no
+# circular-reference markers, since records are trees the CLI builds.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True)
 
 
 def _record_dumps(record: dict) -> str:
-    return _ENCODER.encode(record)
+    return "".join(_ENCODE(record, 0))
 
 
 def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:

@@ -292,15 +292,15 @@ def _valuation(m: int, k: int, p: int) -> ValuationCertificate:
     qm, qk, qr = m, k, r
     vm = vk = vr = sm = sk = sr = 0
     while qm:
-        qm, dm = divmod(qm, p)
-        qk, dk = divmod(qk, p)
-        qr, dr = divmod(qr, p)
+        sm += qm % p
+        sk += qk % p
+        sr += qr % p
+        qm //= p
+        qk //= p
+        qr //= p
         vm += qm
         vk += qk
         vr += qr
-        sm += dm
-        sk += dk
-        sr += dr
     if ((p - 1) * vm != m - sm or (p - 1) * vk != k - sk
             or (p - 1) * vr != r - sr):
         raise AssertionError("floor and digit sums disagree")
@@ -312,13 +312,14 @@ def _valuation(m: int, k: int, p: int) -> ValuationCertificate:
 
 
 def _carry_count(a: int, b: int, p: int) -> int:
-    count = 0
-    carry = 0
-    while a or b or carry:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        carry = 1 if da + db + carry >= p else 0
+    """Carries when a + b is added in base p (Kummer).  A carry out of the
+    last digit of a and b lands on a digit 1 < p, so no carry follows it."""
+    count = carry = 0
+    while a or b:
+        carry = a % p + b % p + carry >= p
         count += carry
+        a //= p
+        b //= p
     return count
 
 

@@ -77,6 +77,10 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
     proof.  Otherwise the order bound makes a scan up to the bound
     complete; "inconclusive" can only occur when n_cap undercuts it, and
     a full scan that finds no failing n is a failed internal check.
+
+    The same law, (bn+1)/gcd(a, bn+1) | binom(an+bn, an), makes bn+1
+    divide the binomial at every n with gcd(a, bn+1) = 1, so the scan
+    takes valuations only at the n where a prime of a divides bn+1.
     """
     if a < 1 or b < 1:
         raise ValueError("require a, b >= 1")
@@ -85,6 +89,8 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
         return FabResult(a, b, "proven_zero")
     cap = min(n_cap if n_cap is not None else FAB_SCAN_CAP_DEFAULT, info.bound)
     for n in range(1, cap + 1):
+        if math.gcd(a, b * n + 1) == 1:
+            continue
         ok, certs = core.divides_binomial((a + b) * n, a * n, b * n + 1)
         if not ok:
             return FabResult(a, b, "found", n=n, bound=info,

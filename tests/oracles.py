@@ -354,6 +354,30 @@ def carries(x: int, y: int, p: int) -> int:
     return count
 
 
+def first_failing_n_reference(a: int, b: int, n_max: int) -> int | None:
+    """The least n <= n_max with bn+1 not dividing binom(an+bn, an), else
+    None.  Every n from 1 is tested: bn+1 is factored by trial division,
+    and n fails when some p^e || bn+1 has fewer than e carries in an + bn."""
+    primes = trial_division_primes(math.isqrt(b * n_max + 1))
+    for n in range(1, n_max + 1):
+        x = b * n + 1
+        factors = []
+        for p in primes:
+            if p * p > x:
+                break
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            if e:
+                factors.append((p, e))
+        if x > 1:
+            factors.append((x, 1))
+        if any(carries(a * n, b * n, p) < e for p, e in factors):
+            return n
+    return None
+
+
 def witness_reference(a: int, b: int, p_cap: int) -> tuple[int, int, int, int]:
     """(p, n, e, valuation) of the first 3n-1 witness for (a, b), eagerly.
 

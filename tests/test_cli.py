@@ -770,6 +770,48 @@ def test_record_dumps_matches_json_dumps(record):
         record, sort_keys=True, separators=(",", ":"))
 
 
+# One run of every verify and conj claim and of every other subcommand.
+# Between them their records hold nested checks (thm3), families with null
+# and negative_positions (thm4 --expand under a budget), negative numbers
+# (c330n88n), floats (theta), big integers (qbinom 40 33) and fab's bound
+# object and nulls; a checkpoint adds its header and fingerprint.
+EVERY_RECORD_ARGV = [
+    *(["verify", claim, "--n-max", "2", "--a-max", "2", "--b-max", "2"]
+      for claim in ("thm0", "thm3", "thm_kn", "andrews", "anbn",
+                    "decomposition")),
+    ["--budget-degree", "50", "verify", "thm4", "--n-max", "1", "--expand"],
+    ["conj", "conj2witness", "--a-max", "2", "--b-max", "2"],
+    ["conj", "oddp", "--a-max", "3", "--b-max", "2", "--n-max", "5"],
+    ["conj", "oddp2", "--a-max", "2", "--b-max", "2", "--n-max", "5"],
+    ["conj", "c330n88n", "--n", "1"],
+    ["fab", "7", "36"], ["fab", "1", "1"], ["fab", "7", "36", "--n-cap", "5"],
+    ["primes", "--lo", "2", "--hi", "5"],
+    ["qbinom", "40", "33"], ["qbinom", "6", "3", "--exponents"],
+    ["theta", "10"],
+]
+
+
+def test_every_cli_record_matches_json_dumps(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli._record_dumps
+
+    def recording(record):
+        seen.append(record)
+        return real(record)
+
+    monkeypatch.setattr(cli, "_record_dumps", recording)
+    for i, argv in enumerate(EVERY_RECORD_ARGV):
+        code = cli.main(argv + (["--checkpoint", str(tmp_path / f"{i}.ckpt")]
+                                if "verify" in argv or "conj" in argv else []))
+        assert code in (0, 2, 3)
+    capsys.readouterr()
+    assert {"fingerprint", "negatives", "theta", "coeffs", "checks",
+            "families"} <= {key for r in seen for key in r}
+    for record in seen:
+        assert real(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":"))
+
+
 class TestParallel:
     def test_par_matches_serial(self, capsys):
         args = ["verify", "thm3", "--n-max", "6"]

@@ -303,6 +303,25 @@ class TestBinomValuation:
                         v += 1
                     assert cert.valuation == v == cert.carry_count
 
+    # 10**15 + 37 is the least prime above 10**15, so above every m drawn.
+    @given(st.integers(0, 10**15).flatmap(
+               lambda m: st.tuples(st.just(m), st.integers(0, m))),
+           st.sampled_from((2, 3, 5, 65537, 2**31 - 1, 10**15 + 37)))
+    def test_large_inputs(self, mk, p):
+        # v_p(n!) as the sum of n // p^i over the powers p^i <= n.
+        def legendre(n):
+            v, q = 0, p
+            while q <= n:
+                v += n // q
+                q *= p
+            return v
+
+        m, k = mk
+        cert = core.binom_valuation(m, k, p)
+        expected = oracles.carries(k, m - k, p)
+        assert cert.valuation == cert.carry_count == expected
+        assert expected == legendre(m) - legendre(k) - legendre(m - k)
+
 
 class TestBasePDigits:
     def test_examples(self):

@@ -72,6 +72,43 @@ class TestFab:
             divisibility.f_ab(7, 36, n_cap=2736)
         assert divisibility.f_ab(7, 36, n_cap=2735).verdict == "inconclusive"
 
+    def test_matches_reference_scan(self):
+        # The reference tests every n; the engine takes valuations only
+        # where gcd(a, bn+1) > 1.  Among the 720 found pairs of [1, 30]^2
+        # the largest f(a, b) is 344, at (29, 22).
+        found = {}
+        for a in range(1, 31):
+            for b in range(1, 31):
+                r = divisibility.f_ab(a, b)
+                if r.verdict == "found":
+                    found[a, b] = r.n
+                else:
+                    assert oracles.first_failing_n_reference(a, b, 50) is None
+        assert len(found) == 720
+        assert max(found.values()) == found[29, 22] == 344
+        assert {ab: oracles.first_failing_n_reference(*ab, 1000)
+                for ab in found} == found
+        for a, b, n in ((7, 36, 279), (22, 200, 6462)):
+            assert divisibility.f_ab(a, b).n == n
+            assert oracles.first_failing_n_reference(a, b, 10**4) == n
+
+    @pytest.mark.parametrize("a, b, calls", [(7, 36, 40), (22, 200, 588)])
+    def test_valuations_only_where_gcd_exceeds_one(self, a, b, calls,
+                                                   monkeypatch):
+        # Where gcd(a, bn+1) = 1 the reduced-modulus law already gives
+        # bn+1 | binom(an+bn, an), so no certificate is built there.
+        moduli = []
+        real = core.divides_binomial
+
+        def counting(m, k, d):
+            moduli.append(d)
+            return real(m, k, d)
+
+        monkeypatch.setattr(core, "divides_binomial", counting)
+        divisibility.f_ab(a, b)
+        assert len(moduli) == calls
+        assert all(math.gcd(a, d) > 1 for d in moduli)
+
 
 class TestReducedModulus:
     def test_grid(self):
