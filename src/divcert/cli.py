@@ -1,10 +1,15 @@
-"""Command-line surface: subcommands fab, verify, conj, primes, qbinom, theta.
+"""Command-line surface: subcommands fab, verify, conj, primes, qbinom, theta,
+each declared in one table, _COMMANDS, with its help, arguments (least value,
+default), and single-record function or grid claims by id.  The parser and
+each report's recorded parameters both come from that table.
 
 Output is line-delimited JSON: one record per grid point (stable key order)
-followed by a summary record; --table renders the same records for humans.
-Long grid runs can be checkpointed to an append-only log and resumed; a
-resumed run produces byte-identical records to an uninterrupted one, so
-wall-clock timing is reported on stderr rather than inside the records.
+followed by a summary record; --table, refused with --output, renders the
+same records for humans.  Long grid runs can be checkpointed to an
+append-only log and resumed; a resumed run produces byte-identical records
+to an uninterrupted one, so wall-clock timing is reported on stderr rather
+than inside the records.  A checkpoint that --output would overwrite, or
+a file whose header has no fingerprint, is refused.
 
 Exit codes: 0 success / all expected verdicts true, 2 inconclusive or
 exhausted search, 3 partial results due to a budget, 64 usage error,
@@ -72,12 +77,9 @@ def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
 # a dict of named coordinates; a worker (parameters, point) -> record, the
 # point with its verdict, a boolean under the claim's `verdict` field; and a
 # rule records -> (summary fields, exit code).  Every verify claim records
-# the same options, reads `ok` and shares one rule.  Workers are module
-# level, so they pickle for --par, and look engine functions up per call,
-# so wrappers installed on the engine modules (tracers) see them.
-
-_VERIFY_OPTIONS = ("n_max", "a_max", "b_max", "expand")
-
+# every argument of its command, reads `ok` and shares one rule.  Workers
+# are module level, so they pickle for --par, and look engine functions up
+# per call, so wrappers installed on the engine modules (tracers) see them.
 
 # The summary fields that say a claim holds at every point.
 _CLAIM_FIELDS = ("all_ok", "all_found", "all_match")
@@ -94,7 +96,7 @@ def _verify_rule(records):
 class _Claim(NamedTuple):
     points: Callable[[dict], list[dict]]
     worker: Callable[[dict, dict], dict]
-    options: tuple[str, ...] = _VERIFY_OPTIONS  # recorded as parameters
+    options: tuple[str, ...] | None = None  # recorded after its id; None: all
     rule: Callable[[list[dict]], tuple[dict, int]] = _verify_rule
     verdict: str = "ok"  # the boolean field of a record that `rule` reads
 
@@ -206,34 +208,115 @@ def _oddp2_rule(records):
     return {"survivors": survivors}, EXIT_OK if survivors else EXIT_INCONCLUSIVE
 
 
-# By command, then by id; the id is recorded under the name of the
-# command's positional argument.
-_GRIDS = {
-    "verify": {
-        "thm0": _Claim(_abn, _thm0),
-        "thm3": _Claim(_ns, _thm3),
-        "thm4": _Claim(_ns, _thm4),
-        "thm_kn": _Claim(lambda params: [
-            {**p, "k": k} for p in _ns(params) for k in range(p["n"] + 1)], _thm_kn),
-        "andrews": _Claim(_ab, _andrews),
-        "anbn": _Claim(_abn, _anbn),
-        "decomposition": _Claim(lambda params: [
-            p for p in _abn(params) if p["a"] * p["n"] >= 2], _decomposition),
-    },
-    "conj": {
-        "conj2witness": _Claim(_ab, _conj2, ("a_max", "b_max", "p_cap"),
-                               _every("found", "all_found"), "found"),
-        "oddp": _Claim(lambda params: [p for p in _ab(params) if p["b"] < p["a"]],
-                       _oddp, ("p", "a_max", "b_max", "n_max"), _oddp_rule,
-                       "survives"),
-        "oddp2": _Claim(lambda params: [
-            p for p in _ab(params) if p["a"] * params["m"] > p["b"]],
-            _oddp2, ("m", "a_max", "b_max", "n_max"), _oddp2_rule, "survives"),
-        "c330n88n": _Claim(lambda params: (
-            _ns(params) if params["n"] is None else [{"n": params["n"]}]),
-            _c330, ("n", "n_max"), _every("matches_pattern", "all_match"),
-            "matches_pattern"),
-    },
+# ---------------------------------------------------------------------------
+# The command table, and the single-record commands it runs: each maps its
+# parameters to (records, summary fields, exit code).
+
+def _fab(params):
+    result = divisibility.f_ab(**params)
+    bound = None if result.bound is None else result.bound._asdict()
+    record = {"a": result.a, "b": result.b, "verdict": result.verdict,
+              "n": result.n, "n_max": result.n_max, "bound": bound}
+    return [record], {"verdict": result.verdict}, (
+        EXIT_OK if result.verdict in ("found", "proven_zero") else EXIT_INCONCLUSIVE)
+
+
+def _primes(params):
+    report = divisibility.prime_window_verify(params["lo"], params["hi"])
+    records = [{"x": x, "witness_prime": p} for x, p in report.entries]
+    records += [{"x": x, "witness_prime": None} for x in report.failures]
+    records.sort(key=lambda r: r["x"])
+    return records, {"failures": list(report.failures)}, (
+        EXIT_INCONCLUSIVE if report.failures else EXIT_OK)
+
+
+def _qbinom(params):
+    record = {"m": params["m"], "k": params["k"]}
+    gaussian = qpoly.QuotientExpr((), (), params["m"], params["k"])
+    if params["exponents"]:
+        f = qpoly.expr_factorization(gaussian)
+        record["exponents"] = {str(d): e for d, e in sorted(f.exponents.items())}
+    else:
+        poly = qpoly.expand_expr(gaussian)
+        record.update(degree=poly.degree, coeffs=list(poly.coeffs))
+    return [record], {}, EXIT_OK
+
+
+def _theta(params):
+    theta = divisibility.chebyshev_theta_3_2(**params)
+    return [{"x": theta.x, "theta": theta.value, "error_bound": theta.error_bound,
+             "prime_count": theta.prime_count}], {}, EXIT_OK
+
+
+class _Arg(NamedTuple):
+    """A positional ("a") or option ("--n-max"): an integer >= least, or
+    without one, a flag (an option) or the id of a claim (a positional)."""
+    name: str
+    least: int | None = None
+    default: int | None = None
+    required: bool = False
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """A subcommand: a single-record `run`, or `claims` by id, its first
+    argument.  Its report records its arguments as parameters; a claim with
+    `options` records only those after its id."""
+    help: str
+    arguments: tuple[_Arg, ...]
+    run: Callable[[dict], tuple[list[dict], dict, int]] | None = None
+    claims: dict[str, _Claim] | None = None
+
+
+_COMMANDS = {
+    "fab": _Command(
+        "first n with (bn+1) not dividing binom((a+b)n, an)",
+        (_Arg("a", 1), _Arg("b", 1), _Arg("--n-cap", 0)), run=_fab),
+    "verify": _Command(
+        "grid-run a theorem verifier",
+        (_Arg("theorem_id"), _Arg("--n-max", 1, 10), _Arg("--a-max", 1, 10),
+         _Arg("--b-max", 1, 10),
+         _Arg("--expand", help="also expand coefficients where budgets allow")),
+        claims={
+            "thm0": _Claim(_abn, _thm0),
+            "thm3": _Claim(_ns, _thm3),
+            "thm4": _Claim(_ns, _thm4),
+            "thm_kn": _Claim(lambda params: [
+                {**p, "k": k} for p in _ns(params) for k in range(p["n"] + 1)],
+                _thm_kn),
+            "andrews": _Claim(_ab, _andrews),
+            "anbn": _Claim(_abn, _anbn),
+            "decomposition": _Claim(lambda params: [
+                p for p in _abn(params) if p["a"] * p["n"] >= 2], _decomposition),
+        }),
+    "conj": _Command(
+        "conjecture explorers and witness searches",
+        (_Arg("conjecture_id"), _Arg("--a-max", 1, 10), _Arg("--b-max", 1, 10),
+         _Arg("--n-max", 1, 50), _Arg("--n", 1), _Arg("--m", 1, 1), _Arg("--p", 2, 3),
+         _Arg("--p-cap", 2, divisibility.CONJ2_PRIME_CAP_DEFAULT)),
+        claims={
+            "conj2witness": _Claim(_ab, _conj2, ("a_max", "b_max", "p_cap"),
+                                   _every("found", "all_found"), "found"),
+            "oddp": _Claim(lambda params: [
+                p for p in _ab(params) if p["b"] < p["a"]],
+                _oddp, ("p", "a_max", "b_max", "n_max"), _oddp_rule, "survives"),
+            "oddp2": _Claim(lambda params: [
+                p for p in _ab(params) if p["a"] * params["m"] > p["b"]],
+                _oddp2, ("m", "a_max", "b_max", "n_max"), _oddp2_rule, "survives"),
+            "c330n88n": _Claim(lambda params: (
+                _ns(params) if params["n"] is None else [{"n": params["n"]}]),
+                _c330, ("n", "n_max"), _every("matches_pattern", "all_match"),
+                "matches_pattern"),
+        }),
+    "primes": _Command(
+        "witness primes == 2 (mod 3) in windows (x, 20x/19)",
+        (_Arg("--lo", 2, required=True), _Arg("--hi", 2, required=True)),
+        run=_primes),
+    "qbinom": _Command(
+        "dump a Gaussian polynomial or exponent vector",
+        (_Arg("m", 0), _Arg("k", 0), _Arg("--exponents")), run=_qbinom),
+    "theta": _Command("Chebyshev theta on the class 2 mod 3", (_Arg("x", 2),),
+                      run=_theta),
 }
 
 
@@ -275,12 +358,12 @@ def _load_checkpoint(path: str, command: str, parameters: dict,
     """The records of a checkpoint of this grid: a JSON header line, then one
     record per line.
 
-    Refuses a header that is not a JSON object or that another engine
-    version, command or degree budget wrote.  The i-th record must carry the
-    coordinates of the i-th point and a boolean `verdict` field, and there
-    are no more records than points; the first line that does not (a torn
-    write, or a record of another grid) starts a tail that is dropped from
-    the file with a warning.
+    Refuses a header that is not a JSON object with a fingerprint (a report
+    has none), or that another engine version, command or degree budget
+    wrote.  The i-th record must carry the coordinates of the i-th point and
+    a boolean `verdict` field, and there are no more records than points;
+    the first line that does not (a torn write, or a record of another grid)
+    starts a tail that is dropped from the file with a warning.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -290,9 +373,11 @@ def _load_checkpoint(path: str, command: str, parameters: dict,
         header = None
     if not isinstance(header, dict):
         _refuse("checkpoint header is not a JSON object")
+    found = header.get("fingerprint")
+    if type(found) is not str:
+        _refuse("not a divcert checkpoint header: it has no fingerprint")
     if header.get("engine_version") != __version__:
         _refuse("checkpoint written by a different engine version")
-    found = header.get("fingerprint")
     if found != _fingerprint(command, parameters, budget_degree):
         if "budget_degree" not in header:
             _refuse("checkpoint predates degree-budget fingerprints; delete it")
@@ -344,15 +429,13 @@ def _open_report(path: str):
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _run_grid(args, command: str, parameters: dict, points: list, worker,
-              verdict: str):
-    """Run a grid, optionally resuming from and appending to a checkpoint
-    whose records each carry a boolean `verdict` field.
-
-    Returns the records, their JSON lines, and whether a budget ran out
-    before the last point; the records finished before it are kept (and
-    checkpointed).
-    """
+def _cmd_grid(args, params: dict, claim: _Claim):
+    """Run a claim's grid under params, its recorded parameters, on --par
+    workers, resuming from and appending to any --checkpoint.  Returns the
+    records, the summary fields and exit code of the claim's rule, and the
+    records' JSON lines.  A budget that runs out before the last point
+    keeps the records finished (and checkpointed) and makes the exit 3."""
+    points = claim.points(params)
     budget_degree = qpoly.degree_budget
     records: list[dict] = []
     checkpoint = args.checkpoint
@@ -361,20 +444,21 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker,
         # A missing or empty file starts a fresh checkpoint.
         fresh = not os.path.exists(checkpoint) or not os.path.getsize(checkpoint)
         if not fresh:
-            records = _load_checkpoint(checkpoint, command, parameters,
-                                       budget_degree, points, verdict)
+            records = _load_checkpoint(checkpoint, args.command, params,
+                                       budget_degree, points, claim.verdict)
         fh = open(checkpoint, "a", encoding="utf-8")
         if fresh:
             fh.write(_record_dumps({
                 "budget_degree": budget_degree,
                 "engine_version": __version__,
-                "fingerprint": _fingerprint(command, parameters, budget_degree),
+                "fingerprint": _fingerprint(args.command, params, budget_degree),
             }) + "\n")
             fh.flush()
     lines = [_record_dumps(r) for r in records]
     partial = False
     try:
-        for rec in _map_ordered(worker, points[len(records):], args.par):
+        for rec in _map_ordered(functools.partial(claim.worker, params),
+                                points[len(records):], args.par):
             line = _record_dumps(rec)
             if fh:
                 fh.write(line + "\n")
@@ -387,17 +471,6 @@ def _run_grid(args, command: str, parameters: dict, points: list, worker,
     finally:
         if fh:
             fh.close()
-    return records, lines, partial
-
-
-def _cmd_grid(id_option: str, args) -> int:
-    """Run the grid of the `verify` or `conj` claim named by `id_option`."""
-    claim_id = getattr(args, id_option)
-    claim = _GRIDS[args.command][claim_id]
-    params = {id_option: claim_id, **{o: getattr(args, o) for o in claim.options}}
-    records, lines, partial = _run_grid(
-        args, args.command, params, claim.points(params),
-        functools.partial(claim.worker, params), claim.verdict)
     summary, code = claim.rule(records)
     if partial or summary.get("partial"):
         summary["partial"] = True
@@ -407,6 +480,21 @@ def _cmd_grid(id_option: str, args) -> int:
         for field in _CLAIM_FIELDS:
             if summary.get(field) is True:
                 summary[field] = None
+    return records, summary, code, lines
+
+
+def _run(args) -> int:
+    """Run and report the subcommand args name, as _COMMANDS declares it."""
+    command = _COMMANDS[args.command]
+    names = [arg.name.lstrip("-").replace("-", "_") for arg in command.arguments]
+    params = {name: getattr(args, name) for name in names}
+    if command.claims is None:
+        (records, summary, code), lines = command.run(params), None
+    else:
+        claim = command.claims[params[names[0]]]
+        params = {name: params[name]
+                  for name in names[:1] + list(claim.options or names[1:])}
+        records, summary, code, lines = _cmd_grid(args, params, claim)
     _emit(args, args.command, params, records, summary, lines)
     return code
 
@@ -447,79 +535,13 @@ def _cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.
-
-def _cmd_fab(args) -> int:
-    params = {"a": args.a, "b": args.b, "n_cap": args.n_cap}
-    result = divisibility.f_ab(args.a, args.b, n_cap=args.n_cap)
-    info = result.bound
-    record = {"a": args.a, "b": args.b, "verdict": result.verdict,
-              "n": result.n, "n_max": result.n_max,
-              "bound": None if info is None else {
-                  "p": info.p, "bound": info.bound, "s": info.s}}
-    _emit(args, "fab", params, [record], {"verdict": result.verdict})
-    return EXIT_OK if result.verdict in ("found", "proven_zero") else EXIT_INCONCLUSIVE
-
-
-def _cmd_primes(args) -> int:
-    params = {"lo": args.lo, "hi": args.hi}
-    report = divisibility.prime_window_verify(args.lo, args.hi)
-    records = [{"x": x, "witness_prime": p} for x, p in report.entries]
-    records += [{"x": x, "witness_prime": None} for x in report.failures]
-    records.sort(key=lambda r: r["x"])
-    _emit(args, "primes", params, records,
-          {"failures": list(report.failures)})
-    return EXIT_OK if not report.failures else EXIT_INCONCLUSIVE
-
-
-def _cmd_qbinom(args) -> int:
-    params = {"m": args.m, "k": args.k, "exponents": args.exponents}
-    gaussian = qpoly.QuotientExpr((), (), args.m, args.k)
-    if args.exponents:
-        f = qpoly.expr_factorization(gaussian)
-        record = {"m": args.m, "k": args.k,
-                  "exponents": {str(d): e for d, e in sorted(f.exponents.items())}}
-    else:
-        poly = qpoly.expand_expr(gaussian)
-        record = {"m": args.m, "k": args.k, "degree": poly.degree,
-                  "coeffs": list(poly.coeffs)}
-    _emit(args, "qbinom", params, [record], {})
-    return EXIT_OK
-
-
-def _cmd_theta(args) -> int:
-    params = {"x": args.x}
-    theta = divisibility.chebyshev_theta_3_2(args.x)
-    record = {"x": theta.x, "theta": theta.value,
-              "error_bound": theta.error_bound,
-              "prime_count": theta.prime_count}
-    _emit(args, "theta", params, [record], {})
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--table", action="store_true",
-                        help="render records as a table instead of JSON lines")
-    parser.add_argument("--output", help="write the report to a file")
-
-
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    """Options of the subcommands that run grids."""
-    _add_common(parser)
-    parser.add_argument("--par", type=_int_at_least(1), default=1,
-                        help="worker pool width (default 1; at most the CPU "
-                             "count and the points left)")
-    parser.add_argument("--checkpoint",
-                        help="append-only checkpoint log; resumable")
-
 
 def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than `low`.  Grid bounds
-    start at 1, so no claim is reported as holding over an empty grid;
-    --p and --p-cap start at 2, the least prime; --par starts at 1, one
-    worker; budgets start at 0."""
+    """An argparse type for every integer argument and budget: an integer no
+    smaller than `low`.  Grid bounds and fab's a, b start at 1, so no claim
+    holds over an empty grid; --p, --p-cap, --lo, --hi and theta's x at 2,
+    the least prime; --par at 1 worker; qbinom's m, k, --n-cap and budgets
+    at 0.  The engine's ValueError keeps bounds between two (k <= m)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -533,61 +555,35 @@ def _int_at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in _COMMANDS."""
     parser = _Parser(prog="divcert")
     parser.add_argument("--budget-degree", type=_int_at_least(0),
                         help="expansion degree budget (DIVCERT_BUDGET_DEGREE)")
     parser.add_argument("--budget-prime", type=_int_at_least(0),
                         help="sieve budget (DIVCERT_BUDGET_PRIME)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fab", help="first n with (bn+1) not dividing binom((a+b)n, an)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--n-cap", type=_int_at_least(0), default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_fab)
-
-    p = sub.add_parser("verify", help="grid-run a theorem verifier")
-    p.add_argument("theorem_id", choices=list(_GRIDS["verify"]))
-    p.add_argument("--n-max", type=_int_at_least(1), default=10)
-    p.add_argument("--a-max", type=_int_at_least(1), default=10)
-    p.add_argument("--b-max", type=_int_at_least(1), default=10)
-    p.add_argument("--expand", action="store_true",
-                   help="also expand coefficients where budgets allow")
-    _add_grid(p)
-    p.set_defaults(func=functools.partial(_cmd_grid, "theorem_id"))
-
-    p = sub.add_parser("conj", help="conjecture explorers and witness searches")
-    p.add_argument("conjecture_id", choices=list(_GRIDS["conj"]))
-    p.add_argument("--a-max", type=_int_at_least(1), default=10)
-    p.add_argument("--b-max", type=_int_at_least(1), default=10)
-    p.add_argument("--n-max", type=_int_at_least(1), default=50)
-    p.add_argument("--n", type=_int_at_least(1), default=None)
-    p.add_argument("--m", type=_int_at_least(1), default=1)
-    p.add_argument("--p", type=_int_at_least(2), default=3)
-    p.add_argument("--p-cap", type=_int_at_least(2),
-                   default=divisibility.CONJ2_PRIME_CAP_DEFAULT)
-    _add_grid(p)
-    p.set_defaults(func=functools.partial(_cmd_grid, "conjecture_id"))
-
-    p = sub.add_parser("primes",
-                       help="witness primes == 2 (mod 3) in windows (x, 20x/19)")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_primes)
-
-    p = sub.add_parser("qbinom", help="dump a Gaussian polynomial or exponent vector")
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--exponents", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_qbinom)
-
-    p = sub.add_parser("theta", help="Chebyshev theta on the class 2 mod 3")
-    p.add_argument("x", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_theta)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.arguments:
+            if arg.least is not None:
+                kind = {"type": _int_at_least(arg.least), "default": arg.default}
+                if arg.required:  # argparse takes no `required` for a positional
+                    kind["required"] = True
+            elif arg.name.startswith("-"):
+                kind = {"action": "store_true"}
+            else:
+                kind = {"choices": list(command.claims)}
+            p.add_argument(arg.name, help=arg.help, **kind)
+        report = p.add_mutually_exclusive_group()
+        report.add_argument("--table", action="store_true",
+                            help="render records as a table instead of JSON lines")
+        report.add_argument("--output", help="write the report to a file")
+        if command.claims:
+            p.add_argument("--par", type=_int_at_least(1), default=1,
+                           help="worker pool width (default 1; at most the CPU "
+                                "count and the points left)")
+            p.add_argument("--checkpoint",
+                           help="append-only checkpoint log; resumable")
     return parser
 
 
@@ -628,8 +624,12 @@ def main(argv=None) -> int:
             _budget(args.budget_degree, "DIVCERT_BUDGET_DEGREE",
                     qpoly.DEGREE_BUDGET_DEFAULT))
         if args.output:
+            checkpoint = getattr(args, "checkpoint", None)
+            if checkpoint and os.path.realpath(checkpoint) in {
+                    os.path.realpath(args.output + end) for end in ("", ".tmp")}:
+                _refuse("--checkpoint would be overwritten by --output")
             report = args.report = _open_report(args.output)
-        code = args.func(args)
+        code = _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

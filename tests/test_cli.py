@@ -220,7 +220,7 @@ class TestCheckpoint:
 
         ckpt = str(tmp_path / "run.ckpt")
         calls = {"n": 0}
-        claim = cli._GRIDS["verify"]["thm0"]
+        claim = cli._COMMANDS["verify"].claims["thm0"]
 
         def flaky(params, point):
             calls["n"] += 1
@@ -228,12 +228,12 @@ class TestCheckpoint:
                 raise KeyboardInterrupt
             return claim.worker(params, point)
 
-        monkeypatch.setitem(cli._GRIDS["verify"], "thm0",
+        monkeypatch.setitem(cli._COMMANDS["verify"].claims, "thm0",
                             claim._replace(worker=flaky))
         with pytest.raises(KeyboardInterrupt):
             run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
         capsys.readouterr()
-        monkeypatch.setitem(cli._GRIDS["verify"], "thm0", claim)
+        monkeypatch.setitem(cli._COMMANDS["verify"].claims, "thm0", claim)
 
         code, out, _ = run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
         assert code == 0
@@ -248,8 +248,8 @@ class TestCheckpoint:
         def boom(params, point):  # pragma: no cover - must never run
             raise AssertionError("resumed run recomputed a finished point")
 
-        claim = cli._GRIDS["verify"]["thm0"]
-        monkeypatch.setitem(cli._GRIDS["verify"], "thm0",
+        claim = cli._COMMANDS["verify"].claims["thm0"]
+        monkeypatch.setitem(cli._COMMANDS["verify"].claims, "thm0",
                             claim._replace(worker=boom))
         code, out, _ = run_cli(self.ARGS + ["--checkpoint", ckpt], capsys)
         assert code == 0
@@ -366,6 +366,46 @@ class TestCheckpoint:
         assert exc.value.code == 64
         _, err = capsys.readouterr()
         assert "predates degree-budget fingerprints; delete it" in err
+
+    @pytest.mark.parametrize("checkpoint, output", [
+        ("s.jsonl", "s.jsonl"), ("s.jsonl", "./s.jsonl"),
+        ("s.jsonl.tmp", "s.jsonl"),  # the report's temporary file
+    ])
+    def test_checkpoint_that_output_overwrites_refused(
+            self, checkpoint, output, tmp_path, capsys, monkeypatch):
+        # The report once replaced the checkpoint, and the next run refused
+        # that file as the work of another engine version.
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "thm3", "--n-max", "3", "--checkpoint", checkpoint]
+        assert run_cli(argv, capsys)[0] == 0
+        saved = Path(checkpoint).read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--output", output], capsys)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --checkpoint would be overwritten by --output" in err
+        assert os.listdir() == [checkpoint]
+        assert Path(checkpoint).read_bytes() == saved
+        assert run_cli(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["conj", "c330n88n", "--n", "30"],  # a report of its summary alone
+        ["verify", "thm3", "--n-max", "2"],
+    ])
+    def test_report_as_checkpoint_refused(self, argv, tmp_path, capsys):
+        # A report once drew "predates degree-budget fingerprints; delete
+        # it" or "written by a different engine version".
+        report = tmp_path / "r.jsonl"
+        cli.main(argv + ["--output", str(report)])
+        saved = report.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--checkpoint", str(report)], capsys)
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert ("error: not a divcert checkpoint header: it has no fingerprint"
+                in err)
+        assert report.read_bytes() == saved
 
     def test_degree_budget_not_in_report(self, tmp_path, capsys):
         argv = ["verify", "thm3", "--n-max", "2"]
@@ -616,6 +656,13 @@ BELOW_LEAST = [
      "--budget-prime: must be an integer >= 0"),
     (["--budget-degree", "-7", "verify", "andrews", "--a-max", "1",
       "--b-max", "1"], "--budget-degree: must be an integer >= 0"),
+    # Positionals and --lo/--hi once went to the engine unchecked, and only
+    # its ValueError refused them.
+    (["fab", "0", "1"], "a: must be an integer >= 1"),
+    (["fab", "7", "0"], "b: must be an integer >= 1"),
+    (["theta", "1"], "x: must be an integer >= 2"),
+    (["qbinom", "-1", "0"], "m: must be an integer >= 0"),
+    (["primes", "--lo", "1", "--hi", "5"], "--lo: must be an integer >= 2"),
 ]
 
 
@@ -626,9 +673,26 @@ class TestUsageErrors:
         assert exc.value.code == 64
 
     def test_bad_value(self, capsys):
-        code, _, err = run_cli(["fab", "0", "1"], capsys)
-        assert code == 64
-        assert "error" in err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fab", "0", "1"], capsys)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: divcert fab ")
+        assert "error: argument a: must be an integer >= 1, not '0'\n" in err
+
+    @pytest.mark.parametrize("argv", [["verify", "thm3", "--n-max", "1"],
+                                      ["fab", "7", "36"]])
+    def test_table_with_output_refused(self, argv, tmp_path, capsys):
+        # --table was once ignored when --output was given.
+        output = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--table", "--output", str(output)], capsys)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --output: not allowed with argument --table" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_p_cap_below_two_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -871,9 +935,26 @@ def test_environment_table_matches_source():
 
 def test_readme_grid_ids_match_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    subcommands = re.search(r"^Subcommands: (.*?)\.$", readme,
+                            re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", subcommands)) == list(
+        cli._COMMANDS)
     for command in ("verify", "conj"):
-        listed = re.search(rf"`{command}` \(([^)]*)\)", readme).group(1)
-        assert re.findall(r"`(\w+)`", listed) == list(cli._GRIDS[command])
+        listed = re.search(rf"`{command}` \(([^)]*)\)", subcommands).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(cli._COMMANDS[command].claims)
+    # The arguments table: one row per subcommand, each argument with its
+    # least value and any default.
+    table = readme.split("| Subcommand | Arguments |")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.MULTILINE))
+    assert list(rows) == list(cli._COMMANDS)
+    for name, command in cli._COMMANDS.items():
+        for arg in command.arguments:
+            text = f"`{arg.name}`"
+            if arg.least is not None:
+                text += f" >= {arg.least}"
+            if arg.default is not None:
+                text += f", default {arg.default}"
+            assert text in rows[name], (name, text)
 
 
 # What a serial run without a checkpoint has no use for: the process pool
