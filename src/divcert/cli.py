@@ -232,12 +232,12 @@ def _primes(params):
 
 def _qbinom(params):
     record = {"m": params["m"], "k": params["k"]}
-    gaussian = qpoly.QuotientExpr((), (), params["m"], params["k"])
     if params["exponents"]:
-        f = qpoly.expr_factorization(gaussian)
+        f = qpoly.gaussian_factorization(params["m"], params["k"])
         record["exponents"] = {str(d): e for d, e in sorted(f.exponents.items())}
     else:
-        poly = qpoly.expand_expr(gaussian)
+        poly = qpoly.expand_expr(
+            qpoly.QuotientExpr((), (), params["m"], params["k"]))
         record.update(degree=poly.degree, coeffs=list(poly.coeffs))
     return [record], {}, EXIT_OK
 
@@ -555,15 +555,15 @@ def _int_at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand in _COMMANDS."""
-    parser = _Parser(prog="divcert")
+    """The parser of every subcommand in _COMMANDS; no option abbreviates."""
+    parser = _Parser(prog="divcert", allow_abbrev=False)
     parser.add_argument("--budget-degree", type=_int_at_least(0),
                         help="expansion degree budget (DIVCERT_BUDGET_DEGREE)")
     parser.add_argument("--budget-prime", type=_int_at_least(0),
                         help="sieve budget (DIVCERT_BUDGET_PRIME)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for arg in command.arguments:
             if arg.least is not None:
                 kind = {"type": _int_at_least(arg.least), "default": arg.default}

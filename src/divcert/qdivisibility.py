@@ -6,15 +6,16 @@ them, the gcd q-Catalan family with its two displayed forms, and the
 negative-coefficient pattern checker for the
 (1-q)^2/((1-q^{10n-1})(1-q^{15n-1})) [30n, 5n]_q family.
 
-Polynomiality is always decided on cyclotomic exponents: a family verdict
+Polynomiality and degree have one route, :func:`qpoly.polynomiality`: it
 reads only the exponents of Phi_d for d dividing a denominator index, and
-takes the degree in closed form (:func:`qpoly.polynomiality`).  The
-q-Catalan family compares its two displayed forms on the exponents of
-Phi_d for d dividing their denominator indices, the only places where the
-forms can differ.  The pattern checker keeps the full exponent vector,
-because it compares its degree with a closed form.  Dense coefficients are
-expanded only when a coefficient-level verdict (non-negativity, negative
-positions) is requested and within budget.
+takes the degree in closed form.  The q-Catalan family compares its two
+displayed forms on the exponents of Phi_d for d dividing their denominator
+indices, the only places where the forms can differ.  No exponent vector
+is built here.  Dense coefficients are expanded only when a
+coefficient-level verdict (non-negativity, negative positions) is
+requested and within budget; the pattern checker always expands, and
+compares the degree :func:`qpoly.expand_expr` checked with the paper's
+closed form.
 """
 
 from __future__ import annotations
@@ -180,15 +181,16 @@ def check_c330n88n(n: int) -> tuple[int, list[tuple[int, int]]]:
     if n < 1:
         raise ValueError("require n >= 1")
     expr = QuotientExpr((1, 1), (10 * n - 1, 15 * n - 1), 30 * n, 5 * n)
-    f = qpoly.expr_factorization(expr)
-    if not qpoly.is_polynomial(f):
-        raise AssertionError(f"the c330n88n quotient at n = {n} is not a polynomial")
-    degree = f.degree()
-    if degree != 125 * n * n - 25 * n + 4:
-        raise AssertionError(f"the c330n88n quotient at n = {n} has degree {degree}")
-    poly = qpoly.expand_expr(expr)
+    try:
+        poly = qpoly.expand_expr(expr)
+    except ValueError as exc:
+        raise AssertionError(
+            f"the c330n88n quotient at n = {n} is not a polynomial") from exc
+    if poly.degree != 125 * n * n - 25 * n + 4:
+        raise AssertionError(
+            f"the c330n88n quotient at n = {n} has degree {poly.degree}")
     _, negatives = qpoly.is_nonneg(poly)
-    return degree, negatives
+    return poly.degree, negatives
 
 
 def conjectured_pattern(n: int) -> list[tuple[int, int]]:

@@ -1,18 +1,19 @@
 """Exact polynomial algebra in q.
 
-Cyclotomic exponent vectors for quotients of q-integers times a q-binomial
+Cyclotomic exponents of quotients of q-integers times a q-binomial
 coefficient, dense expansion, and the non-negativity predicate.
 
-The canonical internal form of a quotient expression is its cyclotomic
-exponent vector: the expression prod_d Phi_d(q)**e_d is a polynomial
-iff every e_d is non-negative, which is decidable by floor arithmetic alone.
-Only Phi_d with d dividing a denominator index can get a negative exponent,
-so :func:`polynomiality` decides a quotient on those exponents alone
-(:func:`divisor_exponents`) and gives its degree in closed form; the dense
-vector is built by :func:`expr_factorization` for callers that need all of
-it.  Dense coefficients are only produced on demand, by :func:`expand_expr`.
-A Gaussian polynomial [m, k]_q is the expression with no q-integer factors,
-so both functions serve it too.
+A quotient expression is prod_d Phi_d(q)**e_d, a polynomial iff every e_d
+is non-negative, which is decidable by floor arithmetic alone.  Only Phi_d
+with d dividing a denominator index can get a negative exponent, so
+:func:`polynomiality` decides a quotient on those exponents alone
+(:func:`divisor_exponents`) and gives its degree in closed form; it is the
+one route to both.  Dense coefficients are only produced on demand, by
+:func:`expand_expr`, which checks the built degree against that closed
+form.  A Gaussian polynomial [m, k]_q is the expression with no q-integer
+factors, so both functions serve it too.  The one dense exponent vector is
+that of a Gaussian polynomial, :func:`gaussian_factorization`, which
+``qbinom --exponents`` prints.
 
 :class:`IntPoly` is the value :func:`expand_expr` returns: a normalized
 coefficient tuple with equality and hashing, and no arithmetic.
@@ -135,37 +136,24 @@ class QuotientExpr(NamedTuple("QuotientExpr", [
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def _qbinom_exponents(m: int, k: int) -> list[int]:
-    """e_d = floor(m/d) - floor(k/d) - floor((m-k)/d) at index d, for
-    2 <= d <= m; indices 0 and 1 hold 0."""
-    r = m - k
-    return [0, 0] + [m // d - k // d - r // d for d in range(2, m + 1)]
+def gaussian_factorization(m: int, k: int) -> CycloFactorization:
+    """Cyclotomic exponents of [m, k]_q: e_d = floor(m/d) - floor(k/d)
+    - floor((m-k)/d) for 2 <= d <= m.
 
-
-def expr_factorization(expr: QuotientExpr) -> CycloFactorization:
-    """Cyclotomic exponents of a full quotient expression.
-
-    Each q-integer factor 1-q^t contributes chi(d | t) for every d >= 2,
-    so only the divisors of t are visited; the d = 1 contributions cancel
-    by the balanced invariant.  The vector is dense up to the largest
-    index of the expression, so an index past :data:`degree_budget` is
-    refused before anything is allocated.  [m, 0]_q = [m, m]_q = 1 has no
-    index, so it adds nothing to the vector.
+    The vector is dense up to index m, so an m past :data:`degree_budget`
+    is refused before anything is built.  [m, 0]_q = [m, m]_q = 1 has no
+    index, so it is empty at any m.
     """
-    m, k = expr.binom_m, expr.binom_k
+    if not 0 <= k <= m:
+        raise ValueError("require 0 <= binom_k <= binom_m")
     if k == 0 or k == m:
-        m = k = 0
-    top = max([m, *expr.numerator_ms, *expr.denominator_ns])
-    if top > degree_budget:
+        return CycloFactorization()
+    if m > degree_budget:
         raise BudgetExceededError(
-            f"exponent vector index {top} exceeds budget {degree_budget}")
-    exps = _qbinom_exponents(m, k)
-    exps += [0] * (top + 1 - len(exps))
-    for sign, ts in ((1, expr.numerator_ms), (-1, expr.denominator_ns)):
-        for t in ts:
-            for d in _divisors(t)[1:]:
-                exps[d] += sign
-    return CycloFactorization({d: e for d, e in enumerate(exps) if e})
+            f"exponent vector index {m} exceeds budget {degree_budget}")
+    r = m - k
+    exps = ((d, m // d - k // d - r // d) for d in range(2, m + 1))
+    return CycloFactorization({d: e for d, e in exps if e})
 
 
 def divisor_exponents(expr: QuotientExpr, indices):
@@ -184,25 +172,25 @@ def divisor_exponents(expr: QuotientExpr, indices):
                   - sum(t % d == 0 for t in ns))
 
 
+def _degree(expr: QuotientExpr) -> int:
+    """k(m-k) + sum(ms) - sum(ns), the degree of a quotient expression
+    that is a polynomial, since 1-q^t has degree t."""
+    k, r = expr.binom_k, expr.binom_m - expr.binom_k
+    return k * r + sum(expr.numerator_ms) - sum(expr.denominator_ns)
+
+
 def polynomiality(expr: QuotientExpr) -> tuple[bool, int]:
     """(is a polynomial, degree) of a quotient expression; degree 0 if not.
 
     The Gaussian factor's exponents are non-negative and each numerator
     index t adds chi(d | t), so only a Phi_d with d dividing a denominator
     index can go negative; those exponents come from
-    :func:`divisor_exponents`.  The degree is k(m-k) + sum(ms) - sum(ns),
-    since 1-q^t has degree t.
+    :func:`divisor_exponents`.  The degree is in closed form.
     """
     for _, e in divisor_exponents(expr, expr.denominator_ns):
         if e < 0:
             return False, 0
-    k, r = expr.binom_k, expr.binom_m - expr.binom_k
-    return True, k * r + sum(expr.numerator_ms) - sum(expr.denominator_ns)
-
-
-def is_polynomial(f: CycloFactorization) -> bool:
-    """True iff every stored exponent is non-negative."""
-    return all(e >= 0 for e in f.exponents.values())
+    return True, _degree(expr)
 
 
 def expand_expr(expr: QuotientExpr) -> IntPoly:
@@ -212,16 +200,17 @@ def expand_expr(expr: QuotientExpr) -> IntPoly:
     balanced quotient of them, built from its shorter side since
     [m, k]_q = [m, m-k]_q, so the expansion is min(k, m-k) + |ms|
     multiplications and as many exact divisions.
-    Polynomiality and the degree come from :func:`polynomiality`, and the
-    normalized result's degree is checked against that closed form, and the
-    degree must not exceed :data:`degree_budget`.
+    The closed-form degree must not exceed :data:`degree_budget`; that is
+    checked first, so a refused expression costs no divisor search.  Then
+    :func:`polynomiality` decides the expression, and the normalized
+    result's degree is checked against the closed form.
     """
-    polynomial, expected_degree = polynomiality(expr)
-    if not polynomial:
-        raise ValueError("expansion requires a polynomial expression")
+    expected_degree = _degree(expr)
     if expected_degree > degree_budget:
         raise BudgetExceededError(
             f"expansion degree {expected_degree} exceeds budget {degree_budget}")
+    if not polynomiality(expr)[0]:
+        raise ValueError("expansion requires a polynomial expression")
     m, k = expr.binom_m, expr.binom_k
     k = min(k, m - k)
     result = IntPoly(_binomial_quotient(

@@ -3,13 +3,15 @@
 None of these runs on an engine path.  Each computes its answer by a route
 independent of the engine's (the Moebius expansion and the q-Pascal
 recurrence against :func:`divcert.qpoly.expand_expr`, the Lucas product
-against valuations, long division against exponent-vector polynomiality,
-trial division against the sieve, dense exponent vectors against the
-exponents at divisors), or builds a claim of the source paper from engine
-results and checks it by a second route.  The Moebius expansion, and the
-hypotheses and the conclusion of the paper's positivity lemma, are
-computed with this module's own polynomial arithmetic, never with the
-engine's kernels or its expansion.  Polynomials are
+against valuations, long division against
+:func:`divcert.qpoly.polynomiality`, trial division against the sieve,
+dense exponent vectors against the exponents at divisors), or builds a
+claim of the source paper from engine results and checks it by a second
+route.  The Moebius expansion, and the hypotheses and the conclusion of
+the paper's positivity lemma, are computed with this module's own
+polynomial arithmetic, never with the engine's kernels or its expansion;
+the expansion takes its exponents from :func:`cyclotomic_exponents` and
+decides polynomiality and degree itself.  Polynomials are
 :class:`divcert.qpoly.IntPoly` values, so they compare equal to engine
 results with the same coefficients.
 """
@@ -168,25 +170,32 @@ def mobius(n: int) -> int:
     return mu
 
 
-def expand(f: qpoly.CycloFactorization) -> IntPoly:
-    """Multiply out prod Phi_d**e_d exactly.
+def cyclotomic_degree(exponents: dict[int, int]) -> int:
+    """sum e_d * phi(d): the degree of prod Phi_d**e_d."""
+    return sum(e * core.totient(d) for d, e in exponents.items())
 
-    Uses the Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)}
-    (d >= 2) to reduce the product to passes of multiplication and exact
-    division by binomials 1-q^t, done with this module's own :func:`mul`
-    and :func:`exact_div`, never the engine's kernels.  The final degree is
-    checked against sum e_d * phi(d).
+
+def expand(exponents: dict[int, int]) -> IntPoly:
+    """Multiply out prod Phi_d**e_d exactly, for a plain map d -> e_d such
+    as :func:`cyclotomic_exponents` returns.
+
+    The product is a polynomial iff every e_d is non-negative.  Uses the
+    Moebius identity Phi_d = prod_{e | d} (1-q^{d/e})^{mu(e)} (d >= 2) to
+    reduce the product to passes of multiplication and exact division by
+    binomials 1-q^t, done with this module's own :func:`mul` and
+    :func:`exact_div`, never the engine's kernels.  The final degree is
+    checked against :func:`cyclotomic_degree`.
     """
-    if not qpoly.is_polynomial(f):
+    if any(e < 0 for e in exponents.values()):
         raise ValueError("expansion requires a polynomial (all exponents >= 0)")
-    expected_degree = f.degree()
+    expected_degree = cyclotomic_degree(exponents)
     if expected_degree > qpoly.degree_budget:
         raise BudgetExceededError(f"expansion degree {expected_degree} "
                                   f"exceeds budget {qpoly.degree_budget}")
 
     sign = 1
     g: dict[int, int] = {}
-    for d, e_d in f.exponents.items():
+    for d, e_d in exponents.items():
         if d == 1:
             # Phi_1 = q - 1 = -(1 - q).
             if e_d % 2:

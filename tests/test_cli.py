@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -449,13 +450,26 @@ class TestConj:
         assert "error: expansion degree" in err
 
     def test_c330n88n_exponent_vector_over_budget(self, capsys):
-        # Its exponent vector would run to index 3 * 10**8.
+        # Refused by its closed-form degree 125n^2 - 25n + 4, before any
+        # divisor of 10n-1 or 15n-1 is sought.
         code, out, err = run_cli(["--budget-degree", "1000", "conj", "c330n88n",
                                   "--n", "10000000"], capsys)
         assert code == 3
         summary = parse_jsonl(out)[-1]
         assert summary["record_count"] == 0 and summary["all_match"] is None
-        assert "error: exponent vector index 300000000 exceeds budget 1000" in err
+        assert ("error: expansion degree 12499999750000004 exceeds budget 1000"
+                in err)
+
+    def test_c330n88n_huge_n_refused_at_once(self, capsys):
+        # Trial division of 10n-1 alone would take seconds at n = 10**15.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["conj", "c330n88n", "--n", "1000000000000000"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        summary = parse_jsonl(out)[-1]
+        assert summary["record_count"] == 0 and summary["all_match"] is None
+        assert "error: expansion degree" in err
 
     def test_c330n88n_n_zero_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -506,8 +520,7 @@ class TestQbinomTheta:
     def test_qbinom_refusals(self, capsys):
         code, _, err = run_cli(["qbinom", "3", "4"], capsys)
         assert code == 64 and "error:" in err
-        # Both dumps build the same quotient expression, so both refuse k > m
-        # with its message.
+        # Both dumps refuse k > m with the same message.
         code, out, err = run_cli(["qbinom", "3", "5"], capsys)
         assert (code, out, err) == (
             64, "", "error: require 0 <= binom_k <= binom_m\n")
@@ -634,6 +647,45 @@ class TestInternalCheck:
         assert ("error: internal check failed: expansion of a decided "
                 "polynomial: not divisible by 1 - q^t") in err
 
+    def test_planted_nonpolynomial_c330n88n_exit_70(self, capsys, monkeypatch):
+        # One Phi_d too few at a divisor of 10n-1 makes polynomiality refuse
+        # the quotient, which the paper proves a polynomial.
+        honest = qpoly.divisor_exponents
+
+        def planted(expr, indices):
+            for d, e in honest(expr, indices):
+                yield d, e - (d == 9)
+
+        monkeypatch.setattr(qpoly, "divisor_exponents", planted)
+        code, out, err = run_cli(["conj", "c330n88n", "--n", "1"], capsys)
+        assert (code, out) == (70, "")
+        assert ("error: internal check failed: the c330n88n quotient at n = 1 "
+                "is not a polynomial") in err
+
+    def test_planted_wrong_degree_c330n88n_exit_70(self, capsys, monkeypatch):
+        # A degree off by one in the closed form disagrees with the built
+        # expansion, which expand_expr checks.
+        honest = qpoly._degree
+        monkeypatch.setattr(qpoly, "_degree", lambda expr: honest(expr) + 1)
+        code, out, err = run_cli(["conj", "c330n88n", "--n", "1"], capsys)
+        assert (code, out) == (70, "")
+        assert "error: internal check failed: degree bookkeeping violated" in err
+
+    def test_planted_wrong_expansion_degree_c330n88n_exit_70(
+            self, capsys, monkeypatch):
+        # An expansion one degree too long is caught against the paper's
+        # closed form 125n^2 - 25n + 4.
+        honest = qpoly.expand_expr
+
+        def longer(expr):
+            return qpoly.IntPoly(honest(expr).coeffs + (1,))
+
+        monkeypatch.setattr(qpoly, "expand_expr", longer)
+        code, out, err = run_cli(["conj", "c330n88n", "--n", "1"], capsys)
+        assert (code, out) == (70, "")
+        assert ("error: internal check failed: the c330n88n quotient at n = 1 "
+                "has degree 105") in err
+
 
 # Options below their least value, each with its usage message.
 BELOW_LEAST = [
@@ -712,6 +764,20 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: argument {message}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm3", "--n", "2"],
+        ["conj", "c330n88n", "--n-m", "1"],
+        ["--budget-d", "5", "qbinom", "3", "1"],
+    ], ids=" ".join)
+    def test_abbreviated_option_refused(self, argv, capsys):
+        # An option is only ever its full name: --n once ran as --n-max.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, capsys)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: divcert") and "\nerror: " in err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

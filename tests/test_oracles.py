@@ -3,7 +3,7 @@ no engine module still carries one of them, nor a second route to a
 quantity it computes once, nor a second way to set one of its limits, nor
 a public name that nothing in the engine uses; nor does cli.py define at
 module level a name it never reads.  The oracles in turn do not expand
-through the engine's kernels."""
+through the engine's kernels, nor read the engine's cyclotomic exponents."""
 
 import ast
 import collections
@@ -19,7 +19,8 @@ LEFT_THE_ENGINE = [
     (qpoly, ("cyclotomic", "_cyclo_cache", "_cyclo_lock", "threading",
              "exact_div", "expand", "_mobius", "qbinom_poly",
              "qbinom_factorization", "is_reciprocal", "is_unimodal",
-             "unimodal_quotient_check")),
+             "unimodal_quotient_check", "expr_factorization", "is_polynomial",
+             "_qbinom_exponents")),
     (qpoly.IntPoly, ("evaluate", "__add__", "__sub__", "__neg__", "__mul__",
                      "shift", "is_zero")),
     (qpoly.CycloFactorization, ("sign",)),
@@ -57,8 +58,9 @@ ENGINE = Path(__file__).resolve().parents[1] / "src" / "divcert"
 
 # Public names the engine keeps without an engine caller.  The benchmark's
 # tracer hooks core.binom_valuation to count valuations, until ROADMAP item 1
-# counts them in core._valuation.
-UNUSED_KEPT = {"core.binom_valuation"}
+# counts them in core._valuation, and patches CycloFactorization.degree to
+# time it, so every traced run needs both.
+UNUSED_KEPT = {"core.binom_valuation", "qpoly.CycloFactorization.degree"}
 
 
 def _references(node) -> collections.Counter:
@@ -66,6 +68,13 @@ def _references(node) -> collections.Counter:
     return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _method_calls(node) -> collections.Counter:
+    """How often each name is called as a method, x.name(...)."""
+    return collections.Counter(
+        n.func.attr for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute))
 
 
 def _public_definitions(tree):
@@ -83,14 +92,21 @@ def _public_definitions(tree):
 
 
 def test_every_public_engine_name_is_used():
+    # A method with no decorator is used only where it is called, so a
+    # property or a field of the same name (IntPoly.degree,
+    # QFamilyVerdict.degree) does not stand for it.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(ENGINE.glob("*.py"))}
-    total = sum((_references(tree) for tree in trees.values()),
-                collections.Counter())
-    unused = {f"{module}.{qualname}"
-              for module, tree in trees.items()
-              for qualname, node in _public_definitions(tree)
-              if total[node.name] == _references(node)[node.name]}
+    unused = set()
+    for count in (_references, _method_calls):
+        total = sum((count(tree) for tree in trees.values()),
+                    collections.Counter())
+        unused |= {f"{module}.{qualname}"
+                   for module, tree in trees.items()
+                   for qualname, node in _public_definitions(tree)
+                   if (count is _method_calls) == (
+                       "." in qualname and not node.decorator_list)
+                   and total[node.name] == count(node)[node.name]}
     assert unused == UNUSED_KEPT
 
 
@@ -117,10 +133,11 @@ def test_every_cli_definition_is_read():
             if total[name] == _references(node)[name]] == []
 
 
-# The engine's expansion passes; an oracle that ran through them would
-# check the engine against itself.
-ENGINE_EXPANSION = {"_binomial_quotient", "mul_one_minus_qt",
-                    "div_one_minus_qt", "_kernels"}
+# The engine's expansion passes and its cyclotomic exponents; an oracle
+# that ran through them would check the engine against itself.
+ENGINE_ROUTES = {"_binomial_quotient", "mul_one_minus_qt", "div_one_minus_qt",
+                 "_kernels", "expr_factorization", "is_polynomial",
+                 "divisor_exponents", "polynomiality", "CycloFactorization"}
 
 
 def _imported_and_read(tree) -> set[str]:
@@ -138,4 +155,4 @@ def _imported_and_read(tree) -> set[str]:
 
 def test_oracles_do_not_use_the_engine_kernels():
     tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
-    assert not ENGINE_EXPANSION & _imported_and_read(tree)
+    assert not ENGINE_ROUTES & _imported_and_read(tree)

@@ -170,7 +170,7 @@ class TestGcdCatalanFamily:
     def test_forms_comparison_needs_no_exponent_vector(self, monkeypatch):
         # (1, 9, 1) has degree 0; its second form's largest index is 11.
         monkeypatch.setattr(qpoly, "degree_budget", 10)
-        monkeypatch.setattr(qpoly, "expr_factorization", None)
+        monkeypatch.setattr(qpoly, "gaussian_factorization", None)
         v = qdivisibility.verify_gcd_catalan_family(1, 9, 1)
         assert v.polynomial and v.nonneg and v.degree == 0
 
@@ -239,20 +239,20 @@ class TestExpandedFamiliesReciprocal:
 
 class TestPolynomialityAgainstLongDivision:
     def test_grid(self):
-        # Exponent-vector polynomiality vs. exact long division of the
-        # expanded numerator by the denominator q-integer.
+        # The verdicts' polynomiality and degree (qpoly.polynomiality) vs.
+        # exact long division of the expanded numerator by the denominator
+        # q-integer.
         for m in range(2, 15):
             for k in range(0, m + 1):
                 binom = oracles.qbinom_poly(m, k)
                 for u in range(1, 9):
                     for v in range(1, 9):
                         expr = QuotientExpr((u,), (v,), m, k)
-                        predicted = qpoly.is_polynomial(
-                            qpoly.expr_factorization(expr))
                         num = oracles.mul(binom, oracles.one_minus_q(u))
                         try:
-                            oracles.exact_div(num, oracles.one_minus_q(v))
-                            divisible = True
+                            quotient = oracles.exact_div(
+                                num, oracles.one_minus_q(v))
+                            divided = True, quotient.degree
                         except ValueError:
-                            divisible = False
-                        assert predicted == divisible
+                            divided = False, 0
+                        assert qpoly.polynomiality(expr) == divided

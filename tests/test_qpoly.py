@@ -138,28 +138,33 @@ class TestCyclotomic:
             assert prod.coeffs == (-1,) + (0,) * (d - 1) + (1,)
 
 
-def _gaussian_factorization(m, k):
-    """Exponents of [m, k]_q: the quotient expression with no q-integers."""
-    return qpoly.expr_factorization(QuotientExpr((), (), m, k))
+def _gaussian_exponents(m, k):
+    """The oracle's exponents of [m, k]_q: the quotient expression with no
+    q-integers."""
+    return oracles.cyclotomic_exponents(QuotientExpr((), (), m, k))
 
 
 class TestQbinomFactorization:
     def test_example_6_3(self):
-        f = _gaussian_factorization(6, 3)
+        f = qpoly.gaussian_factorization(6, 3)
         assert f.exponents == {2: 1, 4: 1, 5: 1, 6: 1}
         assert f.degree() == 9
 
     def test_edges(self):
-        assert _gaussian_factorization(5, 0).exponents == {}
-        assert _gaussian_factorization(5, 5).exponents == {}
-        assert _gaussian_factorization(0, 0).exponents == {}
+        assert qpoly.gaussian_factorization(5, 0).exponents == {}
+        assert qpoly.gaussian_factorization(5, 5).exponents == {}
+        assert qpoly.gaussian_factorization(0, 0).exponents == {}
 
     def test_always_polynomial(self):
+        # Every exponent is non-negative, the degree is k(m-k), and the
+        # vector is the oracle's per-d loop.
         for m in range(0, 40):
             for k in range(0, m + 1):
-                f = _gaussian_factorization(m, k)
-                assert qpoly.is_polynomial(f)
+                f = qpoly.gaussian_factorization(m, k)
+                assert min(f.exponents.values(), default=0) >= 0
                 assert f.degree() == k * (m - k)
+                assert list(f.exponents.items()) == list(
+                    _gaussian_exponents(m, k).items())
 
     @given(st.dictionaries(st.integers(1, 600),
                            st.integers(-6, 6).filter(bool), max_size=12))
@@ -181,17 +186,15 @@ class TestQuotientExpr:
     def test_expr_factorization_example(self):
         # (1-q)/(1-q^5) [12, 3]_q.
         expr = QuotientExpr((1,), (5,), 12, 3)
-        f = qpoly.expr_factorization(expr)
-        assert qpoly.is_polynomial(f)
-        # e_5 = (12//5 - 3//5 - 9//5) - 1 = 0, so 5 is absent from the map.
-        assert 5 not in f.exponents
+        assert qpoly.polynomiality(expr) == (True, 23)
+        # e_5 = (12//5 - 3//5 - 9//5) - 1 = 0.
+        assert dict(qpoly.divisor_exponents(expr, expr.denominator_ns)) == {5: 0}
 
     def test_nonpolynomial_detected(self):
         # (1-q)/(1-q^7) [4, 2]_q has e_7 = -1.
         expr = QuotientExpr((1,), (7,), 4, 2)
-        f = qpoly.expr_factorization(expr)
-        assert f.exponents[7] == -1
-        assert not qpoly.is_polynomial(f)
+        assert dict(qpoly.divisor_exponents(expr, expr.denominator_ns)) == {7: -1}
+        assert qpoly.polynomiality(expr) == (False, 0)
 
 
 @st.composite
@@ -205,12 +208,20 @@ def balanced_exprs(draw):
 
 
 class TestExprFactorizationOracle:
+    """The engine's cyclotomic exponents against the oracle's dense per-d
+    loop."""
+
     @given(balanced_exprs())
     @settings(max_examples=300)
     def test_matches_per_d_loop(self, expr):
-        f = qpoly.expr_factorization(expr)
-        assert list(f.exponents.items()) == list(
-            oracles.cyclotomic_exponents(expr).items())
+        # Asked at every index up to the largest, divisor_exponents covers
+        # every d >= 2 the dense vector has.
+        top = max([expr.binom_m, *expr.numerator_ms, *expr.denominator_ns])
+        got = dict(qpoly.divisor_exponents(expr, range(1, top + 1)))
+        assert {d: e for d, e in got.items() if e} == (
+            oracles.cyclotomic_exponents(expr))
+        f = qpoly.gaussian_factorization(expr.binom_m, expr.binom_k)
+        assert f.exponents == _gaussian_exponents(expr.binom_m, expr.binom_k)
 
     @given(balanced_exprs(), st.lists(st.integers(1, 150), max_size=3))
     @settings(max_examples=300)
@@ -224,10 +235,10 @@ class TestExprFactorizationOracle:
     @given(balanced_exprs())
     @settings(max_examples=300)
     def test_polynomiality_matches_exponent_vector(self, expr):
-        f = qpoly.expr_factorization(expr)
-        polynomial = qpoly.is_polynomial(f)
+        dense = oracles.cyclotomic_exponents(expr)
+        polynomial = min(dense.values(), default=0) >= 0
         assert qpoly.polynomiality(expr) == (
-            polynomial, f.degree() if polynomial else 0)
+            polynomial, oracles.cyclotomic_degree(dense) if polynomial else 0)
 
     def test_polynomiality_both_verdicts(self):
         # (1-q)/(1-q^5) [12, 3]_q is a polynomial; (1-q)/(1-q^7) [4, 2]_q
@@ -238,13 +249,12 @@ class TestExprFactorizationOracle:
 
 class TestExpand:
     def test_qbinom_4_2(self):
-        f = _gaussian_factorization(4, 2)
-        assert oracles.expand(f).coeffs == (1, 1, 2, 1, 1)
+        assert oracles.expand(_gaussian_exponents(4, 2)).coeffs == (1, 1, 2, 1, 1)
 
     def test_matches_recurrence(self):
         for m in range(0, 31):
             for k in range(0, m + 1):
-                via_cyclo = oracles.expand(_gaussian_factorization(m, k))
+                via_cyclo = oracles.expand(_gaussian_exponents(m, k))
                 via_rec = oracles.qbinom_poly(m, k)
                 assert via_cyclo == via_rec
                 # [m, k]_q = [m, m-k]_q, whichever side expand_expr builds.
@@ -271,10 +281,10 @@ class TestExpand:
         for m, k, u, v in [(12, 3, 1, 5), (12, 4, 1, 5), (10, 5, 5, 10),
                            (8, 4, 2, 4), (20, 6, 3, 9)]:
             expr = QuotientExpr((u,), (v,), m, k)
-            f = qpoly.expr_factorization(expr)
-            if not qpoly.is_polynomial(f):
+            exponents = oracles.cyclotomic_exponents(expr)
+            if min(exponents.values(), default=0) < 0:
                 continue
-            assert qpoly.expand_expr(expr) == oracles.expand(f)
+            assert qpoly.expand_expr(expr) == oracles.expand(exponents)
 
     def test_rejects_nonpolynomial(self):
         expr = QuotientExpr((1,), (7,), 4, 2)
@@ -289,33 +299,46 @@ class TestExpand:
             oracles.qbinom_poly(1000, 500)
 
     def test_exponent_vector_budget(self, monkeypatch):
-        # The vector runs to the largest index of the expression, wherever
-        # that index sits; at the budget it is still built.
+        # The Gaussian vector runs to index m; at the budget it is still
+        # built.
         monkeypatch.setattr(qpoly, "degree_budget", 100)
-        assert qpoly.expr_factorization(QuotientExpr((), (), 100, 1)).exponents == {
+        assert qpoly.gaussian_factorization(100, 1).exponents == {
             d: 1 for d in (2, 4, 5, 10, 20, 25, 50, 100)}
-        for expr in (QuotientExpr((), (), 101, 1),
-                     QuotientExpr((1,), (101,), 3, 1),
-                     QuotientExpr((101,), (1,), 3, 1)):
-            with pytest.raises(BudgetExceededError, match="index 101 exceeds"):
-                qpoly.expr_factorization(expr)
+        message = "^exponent vector index 101 exceeds budget 100$"
+        for k in (1, 50, 100):
+            with pytest.raises(BudgetExceededError, match=message):
+                qpoly.gaussian_factorization(101, k)
         assert qpoly.expand_expr(QuotientExpr((), (), 20, 5)).degree == 75
+
+    def test_budget_refused_before_any_divisor(self, monkeypatch):
+        # The closed-form degree is checked first, so a huge index is not
+        # factored, and an over-budget non-polynomial is refused by its
+        # degree.
+        monkeypatch.setattr(qpoly, "divisor_exponents", None)
+        n = 10**15
+        with pytest.raises(BudgetExceededError, match="expansion degree"):
+            qpoly.expand_expr(QuotientExpr(
+                (1, 1), (10 * n - 1, 15 * n - 1), 30 * n, 5 * n))
+        # (1-q)/(1-q^7) [20, 10]_q has e_7 = -1 and formal degree 94.
+        monkeypatch.setattr(qpoly, "degree_budget", 93)
+        with pytest.raises(BudgetExceededError,
+                           match="^expansion degree 94 exceeds budget 93$"):
+            qpoly.expand_expr(QuotientExpr((1,), (7,), 20, 10))
 
     def test_trivial_gaussian_has_no_index(self, monkeypatch):
         # [m, 0]_q = [m, m]_q = 1: no dense vector, so no budget to meet.
         monkeypatch.setattr(qpoly, "degree_budget", 100)
         for m in (0, 1, 2, 101, 2 * 10**8):
             for k in {0, m}:
-                assert qpoly.expr_factorization(
-                    QuotientExpr((), (), m, k)).exponents == {}
-        assert qpoly.expr_factorization(
-            QuotientExpr((6,), (3,), 10**9, 0)).exponents == {2: 1, 6: 1}
-        with pytest.raises(BudgetExceededError, match="index 101 exceeds"):
-            qpoly.expr_factorization(QuotientExpr((101,), (1,), 10**9, 10**9))
+                assert qpoly.gaussian_factorization(m, k).exponents == {}
+        # k > m is refused before the budget, at any m.
+        for m, k in ((3, 5), (10**9, 10**9 + 1), (5, -1)):
+            with pytest.raises(ValueError,
+                               match=r"^require 0 <= binom_k <= binom_m$"):
+                qpoly.gaussian_factorization(m, k)
 
     def test_negative_phi1_sign(self):
-        f = qpoly.CycloFactorization({1: 1})
-        assert oracles.expand(f).coeffs == (-1, 1)
+        assert oracles.expand({1: 1}).coeffs == (-1, 1)
 
 
 class TestPredicates:
@@ -370,7 +393,7 @@ class TestUnimodalQuotient:
             mm = rng.randrange(1, bm + 1)
             nn = rng.randrange(mm, bm + 1)
             expr = QuotientExpr((mm,), (nn,), bm, bk)
-            if not qpoly.is_polynomial(qpoly.expr_factorization(expr)):
+            if not qpoly.polynomiality(expr)[0]:
                 continue
             P = oracles.qbinom_poly(bm, bk)
             assert oracles.is_reciprocal(P) and oracles.is_unimodal(P)
