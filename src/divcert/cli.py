@@ -56,7 +56,15 @@ _ENCODE = json.encoder.c_make_encoder(
 
 
 def _record_dumps(record: dict) -> str:
-    return "".join(_ENCODE(record, 0))
+    try:
+        return "".join(_ENCODE(record, 0))
+    except ValueError:  # an int past the interpreter's digit limit: fab's bound
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return "".join(_ENCODE(record, 0))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _fingerprint(command: str, parameters: dict, budget_degree: int) -> str:
@@ -446,14 +454,15 @@ def _cmd_grid(args, params: dict, claim: _Claim):
         if not fresh:
             records = _load_checkpoint(checkpoint, args.command, params,
                                        budget_degree, points, claim.verdict)
-        fh = open(checkpoint, "a", encoding="utf-8")
+        # Unbuffered: each line reaches the OS in one write before the next
+        # point runs.  _load_checkpoint drops a torn line and recomputes it.
+        fh = open(checkpoint, "ab", buffering=0)
         if fresh:
-            fh.write(_record_dumps({
+            fh.write((_record_dumps({
                 "budget_degree": budget_degree,
                 "engine_version": __version__,
                 "fingerprint": _fingerprint(args.command, params, budget_degree),
-            }) + "\n")
-            fh.flush()
+            }) + "\n").encode("ascii"))
     lines = [_record_dumps(r) for r in records]
     partial = False
     try:
@@ -461,8 +470,7 @@ def _cmd_grid(args, params: dict, claim: _Claim):
                                 points[len(records):], args.par):
             line = _record_dumps(rec)
             if fh:
-                fh.write(line + "\n")
-                fh.flush()
+                fh.write((line + "\n").encode("ascii"))
             records.append(rec)
             lines.append(line)
     except BudgetExceededError as exc:
@@ -484,30 +492,23 @@ def _cmd_grid(args, params: dict, claim: _Claim):
 
 
 def _run(args) -> int:
-    """Run and report the subcommand args name, as _COMMANDS declares it."""
+    """Run and report the subcommand args name, as _COMMANDS declares it:
+    its records, then a summary."""
     command = _COMMANDS[args.command]
     names = [arg.name.lstrip("-").replace("-", "_") for arg in command.arguments]
     params = {name: getattr(args, name) for name in names}
     if command.claims is None:
-        (records, summary, code), lines = command.run(params), None
+        records, summary, code = command.run(params)
+        lines = [_record_dumps(r) for r in records]
     else:
         claim = command.claims[params[names[0]]]
         params = {name: params[name]
                   for name in names[:1] + list(claim.options or names[1:])}
         records, summary, code, lines = _cmd_grid(args, params, claim)
-    _emit(args, args.command, params, records, summary, lines)
-    return code
-
-
-def _emit(args, command: str, parameters: dict, records: list[dict],
-          summary_extra: dict, lines: list[str] | None = None) -> None:
-    """Report records (whose JSON lines may be given) and a summary."""
-    summary = {"record": "summary", "command": command,
-               "parameters": parameters, "engine_version": __version__,
-               "record_count": len(records), **summary_extra}
-    if lines is None:
-        lines = [_record_dumps(r) for r in records]
-    lines = lines + [_record_dumps(summary)]
+    summary = {"record": "summary", "command": args.command,
+               "parameters": params, "engine_version": __version__,
+               "record_count": len(records), **summary}
+    lines.append(_record_dumps(summary))
     output = args.output
     if output:
         _atomic_write(args.report, output, "\n".join(lines) + "\n")
@@ -517,6 +518,7 @@ def _emit(args, command: str, parameters: dict, records: list[dict],
     else:
         for line in lines:
             print(line)
+    return code
 
 
 def _print_table(records: list[dict], summary: dict) -> None:
@@ -524,14 +526,9 @@ def _print_table(records: list[dict], summary: dict) -> None:
         keys = sorted({k for r in records for k in r})
         print("\t".join(keys))
         for r in records:
-            print("\t".join(_cell(r.get(k)) for k in keys))
+            print("\t".join(_record_dumps(v) if isinstance(v, (dict, list))
+                            else str(v) for v in map(r.get, keys)))
     print("summary:", _record_dumps(summary))
-
-
-def _cell(value) -> str:
-    if isinstance(value, (dict, list)):
-        return _record_dumps(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +641,7 @@ def main(argv=None) -> int:
         code = EXIT_PARTIAL
     finally:
         _set_budgets(*saved)
-        # _emit closes the report it writes; one still open was not reached.
+        # _run closes the report it writes; one still open was not reached.
         if report is not None and not report.closed:
             report.close()
             os.remove(report.name)

@@ -11,7 +11,7 @@ builds one (``_make`` and ``_replace`` included).
 
 Divisibility of a binomial coefficient by a modulus is always decided
 through p-adic valuations of the factorials involved; the binomial itself
-is never materialized on that path.
+is never materialized on that path; :func:`divides_binomial` answers a bool.
 
 :func:`factorize` proves each modulus once per process: its results are
 kept in a bounded memo, and a ``Factorization`` is immutable, so one
@@ -333,22 +333,14 @@ def binom_exact(m: int, k: int) -> int:
     return math.comb(m, k)
 
 
-def divides_binomial(m: int, k: int, D: int) -> tuple[bool, list[ValuationCertificate]]:
-    """Does D divide binom(m, k)?  Decided prime-by-prime via valuations.
-
-    Returns the verdict together with the full per-prime certificate list,
-    whether or not the division holds.  The binomial is never computed.
-    """
+def divides_binomial(m: int, k: int, D: int) -> bool:
+    """Does D divide binom(m, k)?  Decided prime by prime via valuations,
+    each Kummer cross-checked, up to the first prime of D whose valuation
+    falls short.  The binomial is never computed."""
     if k < 0 or k > m:
         raise ValueError("require 0 <= k <= m")
     if D < 1:
         raise ValueError("modulus must be >= 1")
-    verdict = True
-    certificates = []
     # The factorization has proven each of its primes.
-    for p, e in factorize(D).factors:
-        cert = _valuation(m, k, p)
-        certificates.append(cert)
-        if cert.valuation < e:
-            verdict = False
-    return verdict, certificates
+    return all(_valuation(m, k, p).valuation >= e
+               for p, e in factorize(D).factors)

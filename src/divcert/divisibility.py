@@ -14,6 +14,8 @@ binomial coefficient is ever materialized on a decision path.
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 import math
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -54,9 +56,9 @@ def fab_bound(a: int, b: int) -> BoundInfo | None:
 class FabResult(NamedTuple):
     """Verdict for the smallest n with (bn+1) not dividing binom(an+bn, an).
 
-    verdict is "found" (with n and a per-prime certificate), "proven_zero"
-    (every prime factor of a divides b, so divisibility holds for all n), or
-    "inconclusive" (the caller's scan cap undercut the theorem bound).
+    verdict is "found" (with n and the certificate of the prime that fails),
+    "proven_zero" (every prime factor of a divides b, so divisibility holds
+    for all n), or "inconclusive" (the scan cap undercut the theorem bound).
     bound is fab_bound(a, b), which is None exactly for "proven_zero".
     """
 
@@ -78,9 +80,10 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
     complete; "inconclusive" can only occur when n_cap undercuts it, and
     a full scan that finds no failing n is a failed internal check.
 
-    The same law, (bn+1)/gcd(a, bn+1) | binom(an+bn, an), makes bn+1
-    divide the binomial at every n with gcd(a, bn+1) = 1, so the scan
-    takes valuations only at the n where a prime of a divides bn+1.
+    By the same law, (bn+1)/gcd(a, bn+1) | binom(an+bn, an), bn+1 can fail
+    only at a prime p of a that divides bn+1: p does not divide b and
+    n == -1/b (mod p).  The scan walks those classes in order and takes
+    v_p only there; a is the only number it factors.
     """
     if a < 1 or b < 1:
         raise ValueError("require a, b >= 1")
@@ -88,13 +91,14 @@ def f_ab(a: int, b: int, n_cap: int | None = None) -> FabResult:
     if info is None:
         return FabResult(a, b, "proven_zero")
     cap = min(n_cap if n_cap is not None else FAB_SCAN_CAP_DEFAULT, info.bound)
-    for n in range(1, cap + 1):
-        if math.gcd(a, b * n + 1) == 1:
-            continue
-        ok, certs = core.divides_binomial((a + b) * n, a * n, b * n + 1)
-        if not ok:
-            return FabResult(a, b, "found", n=n, bound=info,
-                             certificate=tuple(certs))
+    classes = [zip(range(-pow(b, -1, p) % p, cap + 1, p), itertools.repeat(p))
+               for p, _ in core.factorize(a).factors if b % p]
+    for n, p in heapq.merge(*classes):
+        # The factorization of a proved p prime; Kummer still cross-checks.
+        # bn+1 fails at p when p^(v+1) divides it, v = v_p(binom).
+        cert = core._valuation((a + b) * n, a * n, p)
+        if (b * n + 1) % p ** (cert.valuation + 1) == 0:
+            return FabResult(a, b, "found", n=n, bound=info, certificate=(cert,))
     if cap == info.bound:
         raise AssertionError(
             f"no n up to the bound {info.bound} fails for ({a}, {b})")
@@ -109,8 +113,7 @@ def verify_reduced_modulus(a: int, b: int, n: int) -> bool:
     if min(a, b, n) < 1:
         raise ValueError("require a, b, n >= 1")
     modulus = (b * n + 1) // math.gcd(a, b * n + 1)
-    ok, _ = core.divides_binomial((a + b) * n, a * n, modulus)
-    return ok
+    return core.divides_binomial((a + b) * n, a * n, modulus)
 
 
 class CongruenceCheck(NamedTuple):
@@ -162,8 +165,7 @@ def verify_congruence_families(n: int) -> CongruenceFamiliesVerdict:
         for modulus in factors:
             if modulus <= 1:
                 continue
-            good, _ = core.divides_binomial(mc * n, kc * n, modulus)
-            ok = ok and good
+            ok &= core.divides_binomial(mc * n, kc * n, modulus)
         modulus = math.prod(factors)
         checks.append(CongruenceCheck(label, mc * n, kc * n, modulus, ok))
     return CongruenceFamiliesVerdict(n, tuple(checks))
@@ -341,8 +343,7 @@ def first_failing_n(p: int, a: int, b: int, n_max: int) -> int | None:
         modulus = p * n - 1
         if modulus == 1:
             continue
-        ok, _ = core.divides_binomial(a * n, b * n, modulus)
-        if not ok:
+        if not core.divides_binomial(a * n, b * n, modulus):
             return n
     return None
 
@@ -354,7 +355,6 @@ def _pair_survives(m: int, a: int, b: int, n_max: int) -> bool:
             return False
         if modulus == 1:
             continue
-        ok, _ = core.divides_binomial(a * m * n, b * n, modulus)
-        if not ok:
+        if not core.divides_binomial(a * m * n, b * n, modulus):
             return False
     return True

@@ -7,3 +7,7 @@ class BudgetExceededError(Exception):
 
 class SearchExhaustedError(Exception):
     """A bounded search ran out of candidates without finding a witness."""
+
+
+class NotPolynomialError(ValueError):
+    """A quotient expression that is not a polynomial was asked to expand."""

@@ -8,11 +8,12 @@ negative-coefficient pattern checker for the
 
 Polynomiality and degree have one route, :func:`qpoly.polynomiality`: it
 reads only the exponents of Phi_d for d dividing a denominator index, and
-takes the degree in closed form.  The q-Catalan family compares its two
-displayed forms on the exponents of Phi_d for d dividing their denominator
-indices, the only places where the forms can differ.  No exponent vector
-is built here.  Dense coefficients are expanded only when a
-coefficient-level verdict (non-negativity, negative positions) is
+takes the degree in closed form; a verdict that expands takes both from
+:func:`qpoly.expand_expr`, which decides them there once.  The q-Catalan
+family compares its two displayed forms on the exponents of Phi_d for d
+dividing their denominator indices, the only places where they can differ.
+No exponent vector is built here.  Dense coefficients are expanded only
+when a coefficient-level verdict (non-negativity, negative positions) is
 requested and within budget; the pattern checker always expands, and
 compares the degree :func:`qpoly.expand_expr` checked with the paper's
 closed form.
@@ -24,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from . import qpoly
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NotPolynomialError
 from .qpoly import QuotientExpr
 
 
@@ -74,13 +75,16 @@ def _family_verdict(
     expr: QuotientExpr,
     want_coefficients: bool,
 ) -> QFamilyVerdict:
+    if want_coefficients:
+        try:
+            poly = qpoly.expand_expr(expr)
+        except NotPolynomialError:
+            return QFamilyVerdict(family_id, params, False, None, (), 0)
+        nonneg, negatives = qpoly.is_nonneg(poly)
+        return QFamilyVerdict(family_id, params, True, nonneg,
+                              tuple(negatives), poly.degree)
     polynomial, degree = qpoly.polynomiality(expr)
-    nonneg = None
-    negatives: tuple[tuple[int, int], ...] = ()
-    if polynomial and want_coefficients:
-        nonneg, neg = qpoly.is_nonneg(qpoly.expand_expr(expr))
-        negatives = tuple(neg)
-    return QFamilyVerdict(family_id, params, polynomial, nonneg, negatives, degree)
+    return QFamilyVerdict(family_id, params, polynomial, None, (), degree)
 
 
 def verify_q_families(n: int, expand_coefficients: bool = True) -> list[QFamilyVerdict]:

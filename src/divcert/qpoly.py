@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import core
 from ._kernels import div_one_minus_qt, mul_one_minus_qt
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NotPolynomialError
 
 DEGREE_BUDGET_DEFAULT = 10**5
 
@@ -202,15 +202,16 @@ def expand_expr(expr: QuotientExpr) -> IntPoly:
     multiplications and as many exact divisions.
     The closed-form degree must not exceed :data:`degree_budget`; that is
     checked first, so a refused expression costs no divisor search.  Then
-    :func:`polynomiality` decides the expression, and the normalized
-    result's degree is checked against the closed form.
+    :func:`polynomiality` decides the expression, refusing a non-polynomial
+    with :class:`NotPolynomialError`, and the normalized result's degree is
+    checked against the closed form.
     """
     expected_degree = _degree(expr)
     if expected_degree > degree_budget:
         raise BudgetExceededError(
             f"expansion degree {expected_degree} exceeds budget {degree_budget}")
     if not polynomiality(expr)[0]:
-        raise ValueError("expansion requires a polynomial expression")
+        raise NotPolynomialError("expansion requires a polynomial expression")
     m, k = expr.binom_m, expr.binom_k
     k = min(k, m - k)
     result = IntPoly(_binomial_quotient(

@@ -43,6 +43,35 @@ class TestFab:
         assert code == 2
         assert parse_jsonl(out)[0]["verdict"] == "inconclusive"
 
+    def test_bound_past_the_int_digit_limit(self, capsys):
+        # (7^10006 - 1)/10007 has 8,453 digits, past the interpreter's default
+        # limit of 4,300 on an int written in decimal.  The record still
+        # carries it in full, and a caller's own limit stands afterwards.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(["fab", "7", "10000"], capsys)
+            assert sys.get_int_max_str_digits() == 640
+            sys.set_int_max_str_digits(0)
+            bound = str(divisibility.fab_bound(7, 10000).bound)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0 and "error" not in err
+        assert len(bound) == 8453
+        record, summary = out.splitlines()
+        assert record == ('{"a":7,"b":10000,"bound":{"bound":' + bound
+                          + ',"p":7,"s":10006},"n":26,"n_max":null,'
+                          '"verdict":"found"}')
+        assert json.loads(summary)["verdict"] == "found"
+
+    def test_prime_budget_past_root_of_a(self, capsys):
+        # fab factors a alone, so a sieve to isqrt(22) + 1 is enough,
+        # though 200n + 1 reaches 1,292,401.
+        code, out, _ = run_cli(["--budget-prime", "100", "fab", "22", "200"],
+                               capsys)
+        assert code == 0
+        assert parse_jsonl(out)[0]["n"] == 6462
+
     def test_cache_option_refused(self, tmp_path, capsys):
         # fab keeps no result cache: every answer is computed and checked.
         cache = tmp_path / "fab.cache"
@@ -266,6 +295,38 @@ class TestCheckpoint:
         assert "corrupt" in err
         # The torn line is cut from the file, which every point already answers.
         assert ckpt.read_text() == good
+
+    def test_respaced_records_resume_byte_identical(self, tmp_path, capsys):
+        # Records in json.dumps's default spacing resume to the report of an
+        # uninterrupted run: a resumed record is encoded again, not copied.
+        ckpt = tmp_path / "run.ckpt"
+        _, uncheckpointed, _ = run_cli(self.ARGS, capsys)
+        run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)
+        header, *records = ckpt.read_text().splitlines()
+        respaced = [json.dumps(json.loads(line)) for line in records[:5]]
+        assert respaced[0] == '{"a": 1, "b": 1, "n": 1, "ok": true}'
+        ckpt.write_text("\n".join([header, *respaced]) + "\n")
+        code, out, err = run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)
+        assert code == 0 and "warning" not in err
+        assert out == uncheckpointed
+
+    def test_each_record_on_file_before_the_next_point(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # A run killed while a point runs keeps every whole line before it.
+        ckpt = tmp_path / "run.ckpt"
+        claim = cli._COMMANDS["verify"].claims["thm0"]
+        seen = []
+
+        def watching(params, point):
+            data = ckpt.read_bytes()
+            assert data.endswith(b"\n")
+            seen.append(data.count(b"\n"))
+            return claim.worker(params, point)
+
+        monkeypatch.setitem(cli._COMMANDS["verify"].claims, "thm0",
+                            claim._replace(worker=watching))
+        assert run_cli(self.ARGS + ["--checkpoint", str(ckpt)], capsys)[0] == 0
+        assert seen == list(range(1, 13))  # the header, then one per point
 
     SMALL = ["verify", "thm0", "--a-max", "1", "--b-max", "1", "--n-max", "3"]
 
@@ -576,7 +637,10 @@ class TestInternalCheck:
 
     def test_fab_scan_to_the_bound_without_failure_exit_70(self, capsys,
                                                           monkeypatch):
-        monkeypatch.setattr(core, "divides_binomial", lambda m, k, d: (True, []))
+        # A valuation that never falls short: no n up to the bound fails.
+        real = core._valuation
+        monkeypatch.setattr(core, "_valuation",
+                            lambda m, k, p: real(m, k, p)._replace(valuation=99))
         code, out, err = run_cli(["fab", "7", "36"], capsys)
         assert code == 70 and out == ""
         assert "error: internal check failed: no n up to the bound 2736" in err

@@ -31,7 +31,7 @@ class TestFab:
         # Post-hoc re-validation: divisibility holds for every n below 279
         # and the certificate really does show the failure at 279.
         for n in range(1, 279):
-            assert core.divides_binomial(43 * n, 7 * n, 36 * n + 1)[0]
+            assert core.divides_binomial(43 * n, 7 * n, 36 * n + 1)
         assert any(c.valuation < e for c in r.certificate
                    for p, e in core.factorize(36 * 279 + 1).factors if c.p == p)
 
@@ -48,7 +48,7 @@ class TestFab:
     def test_proven_zero_spot_check(self):
         # When rad(a) | b the divisibility really does hold for every n.
         for n in range(1, 200):
-            assert core.divides_binomial(2 * n, n, n + 1)[0]
+            assert core.divides_binomial(2 * n, n, n + 1)
 
     def test_inconclusive_when_cap_undercuts(self):
         r = divisibility.f_ab(7, 36, n_cap=100)
@@ -65,7 +65,10 @@ class TestFab:
     def test_full_scan_without_failure_is_internal_error(self, monkeypatch):
         # The order bound guarantees a failing n up to the bound, so a scan
         # that reaches it without one contradicts the theorem.
-        monkeypatch.setattr(core, "divides_binomial", lambda m, k, d: (True, []))
+        # A valuation that never falls short plants that contradiction.
+        real = core._valuation
+        monkeypatch.setattr(core, "_valuation",
+                            lambda m, k, p: real(m, k, p)._replace(valuation=99))
         with pytest.raises(AssertionError, match="bound 2736"):
             divisibility.f_ab(7, 36)
         with pytest.raises(AssertionError):
@@ -74,8 +77,9 @@ class TestFab:
 
     def test_matches_reference_scan(self):
         # The reference tests every n; the engine takes valuations only
-        # where gcd(a, bn+1) > 1.  Among the 720 found pairs of [1, 30]^2
-        # the largest f(a, b) is 344, at (29, 22).
+        # where a prime of a divides bn+1.  Among the 720 found pairs of
+        # [1, 30]^2 the largest f(a, b) is 344, at (29, 22).  bn+1 is never
+        # factored, so it may pass core.FACTOR_CEILING: 1000091 * 116 + 1.
         found = {}
         for a in range(1, 31):
             for b in range(1, 31):
@@ -88,7 +92,8 @@ class TestFab:
         assert max(found.values()) == found[29, 22] == 344
         assert {ab: oracles.first_failing_n_reference(*ab, 1000)
                 for ab in found} == found
-        for a, b, n in ((7, 36, 279), (22, 200, 6462)):
+        for a, b, n in ((7, 36, 279), (22, 200, 6462), (13, 1000091, 116),
+                        (31, 1000000, 139)):
             assert divisibility.f_ab(a, b).n == n
             assert oracles.first_failing_n_reference(a, b, 10**4) == n
 
@@ -96,18 +101,21 @@ class TestFab:
     def test_valuations_only_where_gcd_exceeds_one(self, a, b, calls,
                                                    monkeypatch):
         # Where gcd(a, bn+1) = 1 the reduced-modulus law already gives
-        # bn+1 | binom(an+bn, an), so no certificate is built there.
-        moduli = []
-        real = core.divides_binomial
+        # bn+1 | binom(an+bn, an), so no valuation is taken there; where
+        # it is taken, its prime divides gcd(a, bn+1).
+        taken = []
+        real = core._valuation
 
-        def counting(m, k, d):
-            moduli.append(d)
-            return real(m, k, d)
+        def counting(m, k, p):
+            n = m // (a + b)
+            taken.append((n, p))
+            assert (m, k) == ((a + b) * n, a * n)
+            return real(m, k, p)
 
-        monkeypatch.setattr(core, "divides_binomial", counting)
+        monkeypatch.setattr(core, "_valuation", counting)
         divisibility.f_ab(a, b)
-        assert len(moduli) == calls
-        assert all(math.gcd(a, d) > 1 for d in moduli)
+        assert len(taken) == calls
+        assert all(math.gcd(a, b * n + 1) % p == 0 for n, p in taken)
 
 
 class TestReducedModulus:
@@ -119,7 +127,7 @@ class TestReducedModulus:
 
     def test_contrast_with_full_modulus(self):
         # At (7, 36, 279) the full modulus fails but the reduced one holds.
-        assert not core.divides_binomial(43 * 279, 7 * 279, 36 * 279 + 1)[0]
+        assert not core.divides_binomial(43 * 279, 7 * 279, 36 * 279 + 1)
         assert divisibility.verify_reduced_modulus(7, 36, 279)
 
 
@@ -327,10 +335,10 @@ class TestFirstFailingN:
     def test_basic(self):
         n = divisibility.first_failing_n(3, 2, 1, 100)
         if n is not None:
-            assert not core.divides_binomial(2 * n, n, 3 * n - 1)[0]
+            assert not core.divides_binomial(2 * n, n, 3 * n - 1)
             for j in range(1, n):
                 if 3 * j - 1 > 1:
-                    assert core.divides_binomial(2 * j, j, 3 * j - 1)[0]
+                    assert core.divides_binomial(2 * j, j, 3 * j - 1)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -350,7 +358,7 @@ class TestSurvivingPairs:
             assert a > b
             for n in range(1, 31):
                 if a * n - 1 > 1:
-                    assert core.divides_binomial(a * n, b * n, a * n - 1)[0]
+                    assert core.divides_binomial(a * n, b * n, a * n - 1)
 
     def test_modulus_zero_is_failure(self):
         # a = 1 hits modulus a*1 - 1 = 0 and can never survive.

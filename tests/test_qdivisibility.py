@@ -137,6 +137,29 @@ class TestGcdBinomialQuotient:
         with pytest.raises(BudgetExceededError):
             qdivisibility.verify_gcd_catalan_family(1, 2, 3)
 
+    def test_one_polynomiality_decision_per_verdict(self, monkeypatch):
+        # An expanded verdict takes polynomiality and degree from
+        # expand_expr, which decides them once; a verdict without
+        # coefficients decides them itself.
+        calls = []
+        real = qpoly.polynomiality
+
+        def counting(expr):
+            calls.append(expr)
+            return real(expr)
+
+        monkeypatch.setattr(qpoly, "polynomiality", counting)
+        v = qdivisibility.gcd_binomial_quotient_check(61, 2)
+        assert v.polynomial and v.nonneg and v.degree == 61 * 2 + 1 - 63
+        assert len(calls) == 1
+        calls.clear()
+        qdivisibility.verify_q_families(1)
+        assert len(calls) == 6 + 1
+        # A refusal still reads as a verdict, not as an error.
+        monkeypatch.setattr(qpoly, "polynomiality", lambda expr: (False, 0))
+        v = qdivisibility.gcd_binomial_quotient_check(61, 2)
+        assert v[2:] == (False, None, (), 0)
+
     def test_q1_specialization(self):
         for a in range(1, 13):
             for b in range(1, 13):
