@@ -379,7 +379,15 @@ class TestDividesBinomial:
         assert core.divides_binomial(12, 3, 5) is True
         assert core.divides_binomial(4, 2, 5) is False
         assert core.divides_binomial(9, 4, 1) is True
+
+    def test_certificates_always_returned(self):
+        # The verdict is a bool; the certificate behind it is still one
+        # binom_valuation per prime of D, short or not.
         assert core.divides_binomial(4, 2, 10) is False
+        certs = [core.binom_valuation(4, 2, p)
+                 for p, _ in core.factorize(10).factors]
+        assert [c.p for c in certs] == [2, 5]
+        assert [c.valuation for c in certs] == [1, 0]
 
     def test_one_primality_proof_per_prime(self, monkeypatch):
         calls = []
